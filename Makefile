@@ -58,7 +58,8 @@ race:
 
 # Short fuzz smoke over the wire- and disk-facing surfaces (chunk framing,
 # packed IVs, coded packets, spill-file blocks) plus the resolvable-design
-# generator, whose invariants every large-K shuffle depends on. One shell
+# generator, whose invariants every large-K shuffle depends on, and the
+# four-lane checksum kernel every verification digest goes through. One shell
 # with set -e so the first failing fuzz target fails the whole recipe fast
 # — no later invocation can mask it. CI-friendly: seconds, not hours.
 fuzz:
@@ -71,6 +72,7 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzMapReduceKernels -fuzztime=5s ./internal/mapreduce/
 	$(GO) test -run=Fuzz -fuzz=FuzzDesign -fuzztime=5s ./internal/placement/resolvable/
 	$(GO) test -run=Fuzz -fuzz=FuzzSplitters -fuzztime=5s ./internal/partition/
+	$(GO) test -run=Fuzz -fuzz=FuzzChecksum -fuzztime=5s ./internal/kv/
 
 # Large-K smoke: the K=64 resolvable sort over multiplexed logical ranks,
 # checksum-tied to the uncoded oracle. Also runs (race-enabled) inside the
@@ -96,9 +98,10 @@ cover:
 
 # Coverage floor on the framework-critical packages: the stage-graph
 # runtime, the MapReduce layer riding it, the multi-tenant serving layer,
-# and the partitioner (the one component every reducer's balance and every
-# splitter agreement depends on) must keep >= 80% statement coverage.
-COVER_GATE_PKGS = ./internal/engine ./internal/mapreduce ./internal/service ./internal/partition
+# the partitioner (the one component every reducer's balance and every
+# splitter agreement depends on), and the record kernels and verifier every
+# job's correctness verdict rests on must keep >= 80% statement coverage.
+COVER_GATE_PKGS = ./internal/engine ./internal/mapreduce ./internal/service ./internal/partition ./internal/kv ./internal/verify
 COVER_GATE_MIN  = 80
 cover-gate:
 	@fail=0; \

@@ -37,9 +37,9 @@ else
 fi
 # Coverage floor on the framework-critical packages (mirrors `make
 # cover-gate`): the stage-graph runtime, the MapReduce layer, the
-# multi-tenant serving layer, and the partitioner must keep >= 80%
-# statement coverage.
-for pkg in ./internal/engine ./internal/mapreduce ./internal/service ./internal/partition; do
+# multi-tenant serving layer, the partitioner, and the record kernels and
+# verifier must keep >= 80% statement coverage.
+for pkg in ./internal/engine ./internal/mapreduce ./internal/service ./internal/partition ./internal/kv ./internal/verify; do
 	pct=$(go test -cover "$pkg" | sed -n 's/.*coverage: \([0-9.]*\)%.*/\1/p')
 	if [ -z "$pct" ] || [ "$(awk "BEGIN{print ($pct >= 80) ? 1 : 0}")" -ne 1 ]; then
 		echo "cover gate: $pkg at ${pct:-?}% (< 80% floor)"

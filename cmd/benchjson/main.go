@@ -30,6 +30,7 @@ import (
 	"codedterasort/internal/partition"
 	"codedterasort/internal/placement"
 	"codedterasort/internal/simnet"
+	"codedterasort/internal/verify"
 )
 
 // benchResult is one workload's measurement.
@@ -290,8 +291,11 @@ func workloads(rows int64, spillDir string) []struct {
 
 // microKernels returns the tracked worker kernels, each measured at every
 // procs value: the LSD and MSD radix sorts, the Map scatter, parallel
-// generation, and the chunked Algorithm 1/2 encode/decode. prep (optional)
-// runs untimed before each op to restore clobbered inputs.
+// generation, the chunked Algorithm 1/2 encode/decode, and the verifier's
+// kernels — the multiset checksum over contiguous shards and the input
+// description (regenerate + checksum, which runs on GOMAXPROCS cores, so
+// its op sets GOMAXPROCS to procs). prep (optional) runs untimed before
+// each op to restore clobbered inputs.
 func microKernels(rows int64) ([]struct {
 	name  string
 	bytes int64
@@ -339,6 +343,18 @@ func microKernels(rows int64) ([]struct {
 		{"scatter", int64(base.Size()), nil, func(p int) error { partition.SplitParallel(part, base, p); return nil }},
 		{"generate", int64(base.Size()), nil, func(p int) error {
 			kv.NewGenerator(1, kv.DistUniform).GenerateParallel(0, rows, p)
+			return nil
+		}},
+		{"checksum", int64(base.Size()), nil, func(p int) error {
+			sums := make([]uint64, parallel.Shards(p, base.Len()))
+			return parallel.ForShards(p, base.Len(), func(s, lo, hi int) error {
+				sums[s] = base.Slice(lo, hi).Checksum()
+				return nil
+			})
+		}},
+		{"describe", int64(base.Size()), nil, func(p int) error {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(p))
+			verify.DescribeGenerated(kv.NewGenerator(1, kv.DistUniform), rows)
 			return nil
 		}},
 		{"chunk_encode", codedBytes, nil, func(p int) error {

@@ -11,6 +11,7 @@ import (
 	"codedterasort/internal/engine"
 	"codedterasort/internal/extsort"
 	"codedterasort/internal/kv"
+	"codedterasort/internal/parallel"
 	"codedterasort/internal/stats"
 	"codedterasort/internal/terasort"
 	"codedterasort/internal/trace"
@@ -569,12 +570,26 @@ func assemble(spec Spec, reports []WorkerReport, outputs []kv.Records, sums []ve
 		if err != nil {
 			return nil, err
 		}
-		for k, out := range outputs {
+		// Partitions are checked concurrently; parallel.Do returns the
+		// failure with the lowest partition index, so the error is the
+		// same at any core count.
+		if err := parallel.Do(parallel.Resolve(0), len(outputs), func(k int) error {
 			c := verify.NewPartitionChecker(p, k)
-			if err := c.Feed(out); err != nil {
-				return nil, fmt.Errorf("cluster: output verification failed: %w", err)
+			if err := c.Feed(outputs[k]); err != nil {
+				return err
 			}
 			sums[k] = c.Summary()
+			return nil
+		}); err != nil {
+			return nil, fmt.Errorf("cluster: output verification failed: %w", err)
+		}
+	}
+	// A worker's reported summary is what the job status publishes and
+	// cross-engine comparisons use, so it must be the partition verified.
+	for r, w := range reports {
+		if w.OutputRows != sums[r].Rows || w.OutputChecksum != sums[r].Checksum {
+			return nil, fmt.Errorf("cluster: worker %d reported %d rows, checksum %#x; its verified partition has %d rows, checksum %#x",
+				w.Rank, w.OutputRows, w.OutputChecksum, sums[r].Rows, sums[r].Checksum)
 		}
 	}
 	if err := verify.CheckSummaries(sums, in); err != nil {

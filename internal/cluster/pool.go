@@ -58,8 +58,11 @@ func NewPool(slots int) *Pool {
 func (p *Pool) executor() {
 	defer p.wg.Done()
 	for task := range p.tasks {
-		task()
+		// Counted on start: a job returns as soon as its ranks signal
+		// done from inside their tasks, possibly before task() returns
+		// here, but never before every task has started.
 		p.ranks.Add(1)
+		task()
 	}
 }
 
@@ -168,10 +171,10 @@ func (p *Pool) Run(ctx context.Context, spec Spec, opts Options) (*JobReport, er
 type PoolStats struct {
 	// Slots is the executor count; Free how many are unreserved right now.
 	Slots, Free int
-	// Jobs counts jobs started on the pool; Ranks counts completed
-	// executor tasks (one per attempt per executor batch — K per attempt
-	// when ranks are not multiplexed) — Ranks exceeding Slots is the
-	// executor-reuse evidence.
+	// Jobs counts jobs started on the pool; Ranks counts executor tasks
+	// run (one per attempt per executor batch — K per attempt when ranks
+	// are not multiplexed), including those of every job that has
+	// returned — Ranks exceeding Slots is the executor-reuse evidence.
 	Jobs, Ranks int64
 }
 

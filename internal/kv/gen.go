@@ -183,10 +183,53 @@ func (g *Generator) Record(dst []byte, row int64) {
 	// Value: row id in the first 8 bytes (mirrors TeraGen embedding the row
 	// number) then deterministic printable filler.
 	binary.BigEndian.PutUint64(dst[KeySize:KeySize+8], uint64(row))
-	v := mix64(s + 3)
-	for i := KeySize + 8; i < RecordSize; i++ {
-		v = v*6364136223846793005 + 1442695040888963407
-		dst[i] = 'A' + byte((v>>57)%26)
+	fillValue((*[RecordSize]byte)(dst), mix64(s+3))
+}
+
+// LCG parameters of the value filler: byte i of the filler is drawn from
+// the i-th successor of the seed under v -> v*lcgMul + lcgInc. lcgMul4 and
+// lcgInc4 are the four-step jump v -> v*lcgMul4 + lcgInc4 (a^4 and
+// c*(a^3+a^2+a+1), mod 2^64), which lets fillValue run four independent
+// lanes over the same sequence.
+const (
+	lcgMul  = 6364136223846793005
+	lcgInc  = 1442695040888963407
+	lcgMul4 = lcgMul * lcgMul * lcgMul * lcgMul % (1 << 64)
+	lcgInc4 = lcgInc * (lcgMul*lcgMul*lcgMul + lcgMul*lcgMul + lcgMul + 1) % (1 << 64)
+)
+
+// fillerLetter maps the top 7 bits of an LCG state to a printable letter.
+var fillerLetter = func() (t [128]byte) {
+	for i := range t {
+		t[i] = 'A' + byte(i%26)
+	}
+	return t
+}()
+
+// fillValue writes the printable filler after the row number: byte i is
+// fillerLetter[v_i>>57] where v_i is the i-th LCG successor of seed. Four
+// lanes hold v_i..v_{i+3} and each jumps four steps per iteration, so the
+// CPU overlaps four multiply chains; the bytes are those of the one-lane
+// recurrence.
+func fillValue(dst *[RecordSize]byte, seed uint64) {
+	v0 := seed*lcgMul + lcgInc
+	v1 := v0*lcgMul + lcgInc
+	v2 := v1*lcgMul + lcgInc
+	v3 := v2*lcgMul + lcgInc
+	i := KeySize + 8 // first byte after the embedded row number
+	for ; i+4 <= RecordSize; i += 4 {
+		dst[i] = fillerLetter[v0>>57]
+		dst[i+1] = fillerLetter[v1>>57]
+		dst[i+2] = fillerLetter[v2>>57]
+		dst[i+3] = fillerLetter[v3>>57]
+		v0 = v0*lcgMul4 + lcgInc4
+		v1 = v1*lcgMul4 + lcgInc4
+		v2 = v2*lcgMul4 + lcgInc4
+		v3 = v3*lcgMul4 + lcgInc4
+	}
+	tail := [3]uint64{v0, v1, v2}
+	for j := 0; i < RecordSize; i, j = i+1, j+1 {
+		dst[i] = fillerLetter[tail[j]>>57]
 	}
 }
 

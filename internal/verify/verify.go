@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"codedterasort/internal/kv"
+	"codedterasort/internal/parallel"
 	"codedterasort/internal/partition"
 )
 
@@ -33,19 +34,29 @@ func Describe(r kv.Records) Input {
 	return Input{Rows: int64(r.Len()), Checksum: r.Checksum()}
 }
 
+// describeBlockRows is the block DescribeGenerated regenerates into: small
+// enough to stay cache-resident between generation and checksumming.
+const describeBlockRows = 1024
+
 // DescribeGenerated computes the Input summary for generated data without
-// holding it all in memory at once.
+// holding it in memory: rows are split into one contiguous shard per core,
+// and each shard regenerates its rows into one reused block and sums the
+// block checksums. The checksum is a sum mod 2^64, so the result does not
+// depend on the shard count.
 func DescribeGenerated(g *kv.Generator, rows int64) Input {
-	const chunk = 1 << 16
-	var in Input
-	for first := int64(0); first < rows; first += chunk {
-		n := rows - first
-		if n > chunk {
-			n = chunk
-		}
-		r := g.Generate(first, n)
-		in.Rows += int64(r.Len())
-		in.Checksum += r.Checksum()
+	procs := parallel.Resolve(0)
+	sums := make([]uint64, parallel.Shards(procs, int(rows)))
+	// The error is always nil: describeBlockRows is positive and the block
+	// callback never fails.
+	_ = parallel.ForShards(procs, int(rows), func(s, lo, hi int) error {
+		return g.GenerateBlocks(int64(lo), int64(hi-lo), describeBlockRows, func(b kv.Records) error {
+			sums[s] += b.Checksum()
+			return nil
+		})
+	})
+	in := Input{Rows: rows}
+	for _, sum := range sums {
+		in.Checksum += sum
 	}
 	return in
 }
@@ -76,26 +87,31 @@ func NewPartitionChecker(p partition.Partitioner, k int) *PartitionChecker {
 	return &PartitionChecker{p: p, k: k}
 }
 
-// Feed verifies the next block of the partition's output stream.
+// Feed verifies the next block of the partition's output stream: every
+// record's order and membership, then the block's multiset checksum.
 func (c *PartitionChecker) Feed(out kv.Records) error {
-	for i := 0; i < out.Len(); i++ {
+	n := out.Len()
+	if n == 0 {
+		return nil
+	}
+	prev := c.sum.Max
+	for i := 0; i < n; i++ {
 		key := out.Key(i)
-		if c.sum.Max != nil && bytes.Compare(key, c.sum.Max) < 0 {
+		if prev != nil && bytes.Compare(key, prev) < 0 {
 			return fmt.Errorf("verify: partition %d output not sorted", c.k)
 		}
 		if got := c.p.Partition(key); got != c.k {
 			return fmt.Errorf("verify: record %d of partition %d belongs to partition %d",
-				c.sum.Rows, c.k, got)
+				c.sum.Rows+int64(i), c.k, got)
 		}
-		if c.sum.Min == nil {
-			c.sum.Min = append([]byte(nil), key...)
-			c.sum.Max = append([]byte(nil), key...)
-		} else {
-			c.sum.Max = append(c.sum.Max[:0], key...)
-		}
-		c.sum.Rows++
-		c.sum.Checksum += kv.ChecksumRecord(out.Record(i))
+		prev = key
 	}
+	if c.sum.Min == nil {
+		c.sum.Min = append([]byte(nil), out.Key(0)...)
+	}
+	c.sum.Max = append(c.sum.Max[:0], out.Key(n-1)...)
+	c.sum.Rows += int64(n)
+	c.sum.Checksum += out.Checksum()
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -191,5 +192,48 @@ func TestStreamingCheckerEmptyPartitions(t *testing.T) {
 	}
 	if err := CheckSummaries(sums, Input{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDescribeGeneratedMatchesReference: the sharded, block-reusing
+// description equals the record-by-record reference digest at any core
+// count, for every distribution and for row counts around the block size.
+func TestDescribeGeneratedMatchesReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rowCounts := []int64{0, 1, 1023, 1025, 100003}
+	for d := kv.DistUniform; d <= kv.DistVarPrefix; d++ {
+		g := kv.NewGenerator(17, d)
+		// One reference pass over the largest count, recording the running
+		// digest at each row count under test.
+		want := map[int64]Input{}
+		var ref Input
+		rec := make([]byte, kv.RecordSize)
+		for _, rows := range rowCounts {
+			for ; ref.Rows < rows; ref.Rows++ {
+				g.Record(rec, ref.Rows)
+				ref.Checksum += kv.ChecksumRecord(rec)
+			}
+			want[rows] = ref
+		}
+		for _, procs := range []int{1, 2, 5} {
+			runtime.GOMAXPROCS(procs)
+			for _, rows := range rowCounts {
+				if got := DescribeGenerated(g, rows); got != want[rows] {
+					t.Errorf("%s rows=%d GOMAXPROCS=%d: %+v, want %+v", d, rows, procs, got, want[rows])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkDescribeGenerated measures the verifier's regeneration of a
+// 1M-row input (the size of the cpu_pipelined workload's jobs) at the -cpu
+// list's core counts.
+func BenchmarkDescribeGenerated(b *testing.B) {
+	const rows = 1 << 20
+	g := kv.NewGenerator(1, kv.DistUniform)
+	b.SetBytes(rows * kv.RecordSize)
+	for b.Loop() {
+		DescribeGenerated(g, rows)
 	}
 }
