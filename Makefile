@@ -96,12 +96,12 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -n 20
 
-# Coverage floor on the framework-critical packages: the stage-graph
-# runtime, the MapReduce layer riding it, the multi-tenant serving layer,
+# Coverage floor on the framework-critical packages: the sort engine, the
+# stage-graph runtime under it, the MapReduce layer riding it, the multi-tenant serving layer,
 # the partitioner (the one component every reducer's balance and every
 # splitter agreement depends on), and the record kernels and verifier every
 # job's correctness verdict rests on must keep >= 80% statement coverage.
-COVER_GATE_PKGS = ./internal/engine ./internal/mapreduce ./internal/service ./internal/partition ./internal/kv ./internal/verify
+COVER_GATE_PKGS = ./internal/coded ./internal/engine ./internal/mapreduce ./internal/service ./internal/partition ./internal/kv ./internal/verify
 COVER_GATE_MIN  = 80
 cover-gate:
 	@fail=0; \

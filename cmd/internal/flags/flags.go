@@ -1,5 +1,5 @@
 // Package flags centralizes the job-spec flag surface shared by the run
-// binaries (terasort, codedterasort, coordinator, worker). Every binary
+// binaries (codedterasort, codedmr, coordinator, worker, sortctl). Every binary
 // used to hand-roll the same dozen flag definitions; here each flag has
 // one canonical name, default and usage string, and a Job folds directly
 // into a cluster.Spec.
@@ -89,7 +89,7 @@ func (j *Job) RegisterFaults(fs *flag.FlagSet) {
 		"recovery attempt cap for supervised local runs (0 = default: 3 with -deadline, else 1)")
 }
 
-// RegisterInDir binds the file-backed input flag (TeraSort only).
+// RegisterInDir binds the file-backed input flag (r=1 only).
 func (j *Job) RegisterInDir(fs *flag.FlagSet) {
 	fs.StringVar(&j.InDir, "indir", "", "read input from the part files teragen -disk wrote here instead of generating it")
 }
@@ -101,8 +101,9 @@ func (j *Job) RegisterProcs(fs *flag.FlagSet, usage string) {
 }
 
 // Spec folds the parsed flags into a job spec for the given algorithm.
-// TeraSort specs drop the coded-only knobs so identical flag sets produce
-// valid specs for either engine (the -compare path).
+// TeraSort specs (the engine at r=1) drop the redundancy and placement
+// knobs so identical flag sets produce valid specs for either algorithm
+// (the -compare path).
 func (j *Job) Spec(alg cluster.Algorithm) cluster.Spec {
 	spec := cluster.Spec{
 		Algorithm: alg,
@@ -120,11 +121,7 @@ func (j *Job) Spec(alg cluster.Algorithm) cluster.Spec {
 		spec.StragglerRank = j.StragglerRank
 	}
 	if alg == cluster.AlgTeraSort {
-		spec.R = 0
-		spec.Placement = ""
-		spec.TreeMulticast = false
-	} else {
-		spec.InputDir = ""
+		spec.R, spec.Placement, spec.TreeMulticast = 0, "", false
 	}
 	return spec
 }

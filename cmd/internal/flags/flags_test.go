@@ -8,9 +8,9 @@ import (
 	"codedterasort/internal/cluster"
 )
 
-// TestRegisterAndSpec: the canonical flag names parse into a valid spec
-// for both engines, with the coded-only and terasort-only knobs dropped on
-// the other algorithm.
+// TestRegisterAndSpec: the canonical flag names parse into a spec for both
+// algorithms; TeraSort drops the coded-only knobs and runs at r=1, the only
+// redundancy file-backed input accepts.
 func TestRegisterAndSpec(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	var j Job
@@ -35,9 +35,13 @@ func TestRegisterAndSpec(t *testing.T) {
 		coded.Parallelism != 4 {
 		t.Fatalf("coded spec: %+v", coded)
 	}
-	if coded.InputDir != "" {
-		t.Fatalf("coded spec kept the terasort-only input dir: %+v", coded)
+	if coded.InputDir != "/tmp/in" {
+		t.Fatalf("coded spec lost the input dir: %+v", coded)
 	}
+	if err := coded.Validate(); err == nil {
+		t.Fatal("coded spec with -indir at r=2 validated")
+	}
+	coded.InputDir = ""
 	if err := coded.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@
 //
 // The same comparison from the CLI:
 //
-//	go run ./cmd/terasort -k 8 -rows 200000 -dist zipf -partition sample
+//	go run ./cmd/codedterasort -k 8 -r 1 -rows 200000 -dist zipf -partition sample
 package main
 
 import (

@@ -13,7 +13,6 @@ import (
 	"codedterasort/internal/kv"
 	"codedterasort/internal/parallel"
 	"codedterasort/internal/stats"
-	"codedterasort/internal/terasort"
 	"codedterasort/internal/trace"
 	"codedterasort/internal/transport"
 	"codedterasort/internal/transport/memnet"
@@ -30,11 +29,11 @@ type WorkerReport struct {
 	OutputRows     int64
 	OutputChecksum uint64
 	// SentPayloadBytes counts shuffle payload this worker pushed:
-	// unicast bytes for TeraSort, multicast packet bytes (counted once
-	// per packet, the paper's load metric) for CodedTeraSort.
+	// unicast bytes at r = 1 (TeraSort), multicast packet bytes (counted
+	// once per packet, the paper's load metric) above.
 	SentPayloadBytes int64
-	// MulticastOps counts coded packets this worker multicast (0 for
-	// TeraSort).
+	// MulticastOps counts coded packets this worker multicast (0 at
+	// r = 1).
 	MulticastOps int64
 	// ChunksSent and ChunksReceived count pipelined shuffle chunks this
 	// worker exchanged (0 when Spec.ChunkRows is unset).
@@ -454,85 +453,42 @@ func describeInput(spec Spec) (verify.Input, error) {
 // runWorker executes the spec's algorithm on one endpoint. A non-nil sink
 // receives the sorted partition as ascending blocks instead of it being
 // returned; hooks observe each completed stage through the engine runtime;
-// faults is the attempt's injected failure set (the engines filter by
+// faults is the attempt's injected failure set (the engine filters by
 // rank).
 func runWorker(ep transport.Endpoint, spec Spec, faults engine.Faults, sink func(kv.Records) error, hooks engine.Hooks) (WorkerReport, kv.Records, error) {
-	var rep WorkerReport
-	var out kv.Records
-	switch spec.Algorithm {
-	case AlgTeraSort:
-		cfg := terasort.Config{
-			K: spec.K, Placement: spec.PlacementKind(),
-			Rows: spec.Rows, Seed: spec.Seed, Dist: spec.Dist(),
-			Parallel:  spec.ParallelShuffle,
-			ChunkRows: spec.ChunkRows, Window: spec.Window,
-			MemBudget: spec.MemBudget, SpillDir: spec.SpillDir,
-			OutputSink:   sink,
-			Parallelism:  spec.Parallelism,
-			Hooks:        hooks,
-			Faults:       faults,
-			Partitioning: spec.Partitioning, SampleSize: spec.SampleSize,
-			Splitters: spec.Splitters,
-		}
-		if spec.InputDir != "" {
-			cfg.InputFiles = inputFiles(spec.InputDir, spec.K)
-		}
-		res, err := terasort.Run(ep, cfg, nil)
-		if err != nil {
-			return rep, out, err
-		}
-		rep.SplitterBounds = res.SplitterBounds
-		rep.SampleRoundBytes = res.SampleRoundBytes
-		rep.Times = res.Times
-		rep.SentPayloadBytes = res.ShuffleBytes
-		rep.ChunksSent = res.ChunksSent
-		rep.ChunksReceived = res.ChunksReceived
-		rep.OutputRows = res.OutputRows
-		rep.OutputChecksum = res.OutputChecksum
-		rep.SpilledRuns = res.SpilledRuns
-		rep.Spill = res.Spill
-		rep.MergeOVCDecided = res.MergeOVCDecided
-		rep.MergeFullCompares = res.MergeFullCompares
-		out = res.Output
-	case AlgCoded:
-		res, err := coded.Run(ep, coded.Config{
-			K: spec.K, R: spec.R, Placement: spec.PlacementKind(),
-			Rows: spec.Rows, Seed: spec.Seed,
-			Dist: spec.Dist(), Strategy: spec.Strategy(),
-			Parallel:  spec.ParallelShuffle,
-			ChunkRows: spec.ChunkRows, Window: spec.Window,
-			MemBudget: spec.MemBudget, SpillDir: spec.SpillDir,
-			OutputSink:   sink,
-			Parallelism:  spec.Parallelism,
-			Hooks:        hooks,
-			Faults:       faults,
-			Partitioning: spec.Partitioning, SampleSize: spec.SampleSize,
-			Splitters: spec.Splitters,
-		}, nil)
-		if err != nil {
-			return rep, out, err
-		}
-		rep.SplitterBounds = res.SplitterBounds
-		rep.SampleRoundBytes = res.SampleRoundBytes
-		rep.Times = res.Times
-		rep.SentPayloadBytes = res.MulticastBytes
-		rep.MulticastOps = res.MulticastOps
-		rep.ChunksSent = res.ChunksSent
-		rep.ChunksReceived = res.ChunksReceived
-		rep.OutputRows = res.OutputRows
-		rep.OutputChecksum = res.OutputChecksum
-		rep.SpilledRuns = res.SpilledRuns
-		rep.Spill = res.Spill
-		rep.MergeOVCDecided = res.MergeOVCDecided
-		rep.MergeFullCompares = res.MergeFullCompares
-		out = res.Output
-	default:
-		return rep, out, fmt.Errorf("cluster: unknown algorithm %q", spec.Algorithm)
+	cfg := coded.Config{
+		K: spec.K, R: spec.redundancy(), Placement: spec.PlacementKind(),
+		Rows: spec.Rows, Seed: spec.Seed, Dist: spec.Dist(),
+		Parallel:  spec.ParallelShuffle,
+		ChunkRows: spec.ChunkRows, Window: spec.Window,
+		MemBudget: spec.MemBudget, SpillDir: spec.SpillDir,
+		OutputSink:   sink,
+		Parallelism:  spec.Parallelism,
+		Hooks:        hooks,
+		Faults:       faults,
+		Partitioning: spec.Partitioning, SampleSize: spec.SampleSize,
+		Splitters: spec.Splitters,
+	}
+	if spec.InputDir != "" {
+		cfg.InputFiles = inputFiles(spec.InputDir, spec.K)
+	}
+	res, err := coded.Run(ep, cfg, nil)
+	if err != nil {
+		return WorkerReport{}, kv.Records{}, err
+	}
+	rep := WorkerReport{
+		SplitterBounds: res.SplitterBounds, SampleRoundBytes: res.SampleRoundBytes,
+		Times:            res.Times,
+		SentPayloadBytes: res.ShuffleBytes, MulticastOps: res.MulticastOps,
+		ChunksSent: res.ChunksSent, ChunksReceived: res.ChunksReceived,
+		OutputRows: res.OutputRows, OutputChecksum: res.OutputChecksum,
+		SpilledRuns: res.SpilledRuns, Spill: res.Spill,
+		MergeOVCDecided: res.MergeOVCDecided, MergeFullCompares: res.MergeFullCompares,
 	}
 	if spec.KeepOutput {
-		rep.Output = out
+		rep.Output = res.Output
 	}
-	return rep, out, nil
+	return rep, res.Output, nil
 }
 
 // assemble merges worker reports, verifies outputs, and builds the job

@@ -25,11 +25,13 @@ import (
 	"codedterasort/internal/transport"
 )
 
-// Algorithm selects which sorting algorithm a job runs.
+// Algorithm selects which sorting algorithm a job runs. Both run on the
+// one sort engine (internal/coded): TeraSort is CodedTeraSort at r = 1.
 type Algorithm string
 
 const (
-	// AlgTeraSort is the conventional baseline (paper Section III).
+	// AlgTeraSort is the conventional baseline (paper Section III): an
+	// alias for AlgCoded at r = 1, so R must be 0 or 1.
 	AlgTeraSort Algorithm = "terasort"
 	// AlgCoded is CodedTeraSort (paper Section IV).
 	AlgCoded Algorithm = "codedterasort"
@@ -42,7 +44,8 @@ type Spec struct {
 	Algorithm Algorithm `json:"algorithm"`
 	// K is the number of workers.
 	K int `json:"k"`
-	// R is the redundancy parameter (CodedTeraSort only).
+	// R is the redundancy parameter: every input file is mapped on R
+	// nodes. TeraSort jobs run at R = 1 and accept only 0 or 1 here.
 	R int `json:"r,omitempty"`
 	// Placement names the placement/coding strategy (CodedTeraSort only):
 	// "" or "clique" for the paper's scheme, "resolvable" for the
@@ -116,9 +119,10 @@ type Spec struct {
 	// SpillDir is the parent directory for spill files when MemBudget is
 	// positive ("" = the system temp directory).
 	SpillDir string `json:"spill_dir,omitempty"`
-	// InputDir, when set (TeraSort only), reads the input from the K
-	// part-NNNNN files teragen -disk wrote there, file k on worker k,
-	// instead of generating it. Rows and Seed no longer describe the data;
+	// InputDir, when set, reads the input from the K part-NNNNN files
+	// teragen -disk wrote there, file k on worker k, instead of generating
+	// it. It requires r = 1 (a file on one node's disk has no replicas to
+	// code against). Rows and Seed no longer describe the data;
 	// verification describes the files themselves.
 	InputDir string `json:"input_dir,omitempty"`
 	// Parallelism bounds each worker's compute goroutines (map scatter,
@@ -230,8 +234,12 @@ func (s Spec) Validate() error {
 	if s.K <= 0 {
 		return fmt.Errorf("cluster: K=%d", s.K)
 	}
-	if s.Algorithm == AlgCoded && (s.R < 1 || s.R > s.K) {
-		return fmt.Errorf("cluster: r=%d outside [1,%d]", s.R, s.K)
+	if s.Algorithm == AlgTeraSort && s.R != 0 && s.R != 1 {
+		return fmt.Errorf("cluster: terasort runs at r=1, have r=%d", s.R)
+	}
+	r := s.redundancy()
+	if r < 1 || r > s.K {
+		return fmt.Errorf("cluster: r=%d outside [1,%d]", r, s.K)
 	}
 	kind, err := placement.ParseKind(s.Placement)
 	if err != nil {
@@ -240,12 +248,10 @@ func (s Spec) Validate() error {
 	if kind != placement.KindClique && s.Algorithm != AlgCoded {
 		return fmt.Errorf("cluster: %s placement requires the coded algorithm", kind)
 	}
-	if s.Algorithm == AlgCoded && s.R >= 1 {
-		// Fail fast at submission: infeasible (K, r, strategy) combinations
-		// produce a clear error here rather than a worker-side panic.
-		if _, err := placement.New(kind, s.K, s.R); err != nil {
-			return fmt.Errorf("cluster: %w", err)
-		}
+	// Fail fast at submission: infeasible (K, r, strategy) combinations
+	// produce a clear error here rather than a worker-side panic.
+	if _, err := placement.New(kind, s.K, r); err != nil {
+		return fmt.Errorf("cluster: %w", err)
 	}
 	if s.Rows < 0 {
 		return fmt.Errorf("cluster: negative rows")
@@ -262,8 +268,8 @@ func (s Spec) Validate() error {
 	if s.Parallelism < 0 {
 		return fmt.Errorf("cluster: negative parallelism")
 	}
-	if s.InputDir != "" && s.Algorithm != AlgTeraSort {
-		return fmt.Errorf("cluster: input dir is TeraSort-only")
+	if s.InputDir != "" && r != 1 {
+		return fmt.Errorf("cluster: input dir requires r=1, have r=%d", r)
 	}
 	if s.StageDeadline < 0 {
 		return fmt.Errorf("cluster: negative stage deadline")
@@ -313,6 +319,15 @@ func (s Spec) Validate() error {
 		return err
 	}
 	return nil
+}
+
+// redundancy returns the r the engine runs at: 1 for TeraSort, R for
+// CodedTeraSort.
+func (s Spec) redundancy() int {
+	if s.Algorithm == AlgTeraSort {
+		return 1
+	}
+	return s.R
 }
 
 // Dist returns the input key distribution of the spec.

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 
@@ -16,9 +17,11 @@ import (
 // reference, and spill when the budget is far below the data.
 func TestSpillMatrix(t *testing.T) {
 	const k, rows, seed = 4, 4000, 91
+	// TeraSort runs at r=1 and rejects any other R.
+	r := map[Algorithm]int{AlgTeraSort: 0, AlgCoded: 2}
 	refs := map[Algorithm]*JobReport{}
 	for _, alg := range []Algorithm{AlgTeraSort, AlgCoded} {
-		ref, err := RunLocal(Spec{Algorithm: alg, K: k, R: 2, Rows: rows, Seed: seed})
+		ref, err := RunLocal(Spec{Algorithm: alg, K: k, R: r[alg], Rows: rows, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,7 +33,7 @@ func TestSpillMatrix(t *testing.T) {
 				name := fmt.Sprintf("%s/budget=%d/parallel=%v", alg, budget, parallel)
 				t.Run(name, func(t *testing.T) {
 					job, err := RunLocal(Spec{
-						Algorithm: alg, K: k, R: 2, Rows: rows, Seed: seed,
+						Algorithm: alg, K: k, R: r[alg], Rows: rows, Seed: seed,
 						MemBudget: budget, SpillDir: t.TempDir(),
 						ParallelShuffle: parallel,
 					})
@@ -105,8 +108,9 @@ func writeDiskInput(t *testing.T, k int, rows int64, seed uint64) string {
 }
 
 // TestInputDirEndToEnd: a job reading real input files from disk —
-// in-memory and out-of-core — matches the generated-input reference rank
-// for rank, and verification describes the files, not the generator.
+// in-memory and out-of-core, as TeraSort or as CodedTeraSort at r=1 —
+// matches the generated-input reference rank for rank, and verification
+// describes the files, not the generator.
 func TestInputDirEndToEnd(t *testing.T) {
 	const k, rows, seed = 4, 3000, 97
 	ref, err := RunLocal(Spec{Algorithm: AlgTeraSort, K: k, Rows: rows, Seed: seed})
@@ -114,9 +118,14 @@ func TestInputDirEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := writeDiskInput(t, k, rows, seed)
-	for _, budget := range []int64{0, 16 * 1024} {
-		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
-			spec := Spec{Algorithm: AlgTeraSort, K: k, InputDir: dir,
+	for _, c := range []struct {
+		alg    Algorithm
+		r      int
+		budget int64
+	}{{AlgTeraSort, 0, 0}, {AlgTeraSort, 0, 16 * 1024}, {AlgCoded, 1, 0}, {AlgCoded, 1, 16 * 1024}} {
+		budget := c.budget
+		t.Run(fmt.Sprintf("%s/r=%d/budget=%d", c.alg, c.r, budget), func(t *testing.T) {
+			spec := Spec{Algorithm: c.alg, R: c.r, K: k, InputDir: dir,
 				// A wrong Seed proves verification reads the files: the
 				// generator this seed selects describes different data.
 				Seed: seed + 999, MemBudget: budget}
@@ -139,14 +148,32 @@ func TestInputDirEndToEnd(t *testing.T) {
 	}
 }
 
-// TestInputDirCodedRejected: the disk-input path is TeraSort-only.
-func TestInputDirCodedRejected(t *testing.T) {
-	err := (Spec{Algorithm: AlgCoded, K: 3, R: 2, Rows: 10, InputDir: "x"}).Validate()
-	if err == nil {
-		t.Fatal("coded input dir accepted")
-	}
-	if err := (Spec{Algorithm: AlgTeraSort, K: 3, Rows: 10, MemBudget: -1}).Validate(); err == nil {
-		t.Fatal("negative budget accepted")
+// TestSpecRedundancyRules: TeraSort is the engine at r=1, so a TeraSort
+// spec accepts only R 0 or 1 rather than running uncoded whatever R says,
+// and the disk-input path is defined by r=1, not by the algorithm name.
+func TestSpecRedundancyRules(t *testing.T) {
+	for _, c := range []struct {
+		spec Spec
+		want string // "" = valid, else a substring of the error
+	}{
+		{Spec{Algorithm: AlgTeraSort, K: 4, R: 0}, ""},
+		{Spec{Algorithm: AlgTeraSort, K: 4, R: 1}, ""},
+		{Spec{Algorithm: AlgTeraSort, K: 4, R: 2}, "terasort runs at r=1"},
+		{Spec{Algorithm: AlgTeraSort, K: 4, R: 9}, "terasort runs at r=1"},
+		{Spec{Algorithm: AlgTeraSort, K: 4, R: -1}, "terasort runs at r=1"},
+		{Spec{Algorithm: AlgTeraSort, K: 4, InputDir: "x"}, ""},
+		{Spec{Algorithm: AlgCoded, K: 4, R: 1, InputDir: "x"}, ""},
+		{Spec{Algorithm: AlgCoded, K: 4, R: 2, InputDir: "x"}, "input dir requires r=1"},
+		{Spec{Algorithm: AlgCoded, K: 4, R: 4, InputDir: "x"}, "input dir requires r=1"},
+		{Spec{Algorithm: AlgTeraSort, K: 3, Rows: 10, MemBudget: -1}, "negative mem budget"},
+	} {
+		err := c.spec.Validate()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%+v: %v", c.spec, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%+v: error %v, want %q", c.spec, err, c.want)
+		}
 	}
 }
 

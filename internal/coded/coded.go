@@ -1,6 +1,7 @@
-// Package coded implements CodedTeraSort, the paper's primary contribution
-// (Section IV): distributed sorting with structured redundant file
-// placement that enables coded multicast shuffling. The six stages are
+// Package coded implements the sort engine: CodedTeraSort, the paper's
+// primary contribution (Section IV), and — as its r=1 point — the
+// conventional TeraSort baseline of Section III. With structured redundant
+// file placement (r > 1) the six stages are
 //
 //  1. CodeGen — enumerate the placement strategy's file indices and
 //     multicast groups, and establish per-group communication state (the
@@ -14,13 +15,21 @@
 //     packet broadcast to the r other members of its group (Fig 9b).
 //  5. Decode — cancel known segments from received packets to recover the
 //     needed intermediate values (Algorithm 2).
-//  6. Reduce — locally sort partition k (same as TeraSort).
+//  6. Reduce — locally sort partition k.
+//
+// At r = 1 every file lives on one node, no packet can be coded, and the
+// same dataflow is TeraSort: no CodeGen runs (a unicast needs no group
+// state), and Pack, serial-unicast Shuffle (Fig 9a) and Unpack replace
+// Encode, Multicast and Decode. Everything else — Config, the sampling
+// round, Map, the spill Map's sorter side, Reduce and the Filter/Transform
+// hooks — is one code path; only the shuffle topology is chosen from R
+// when the graph is built.
 //
 // The package is a thin stage-graph builder over the internal/engine
-// runtime: it contributes the redundant placement plan, the coded
+// runtime: it contributes the placement plan, the Pack/Unpack and coded
 // Encode/Decode stages (Algorithms 1 and 2, monolithic and chunked), and
-// the multicast-group shuffle topology, while scheduling, mode selection,
-// spill-sorter lifecycle, transfer accounting and per-stage
+// the unicast or multicast-group shuffle topology, while scheduling, mode
+// selection, spill-sorter lifecycle, transfer accounting and per-stage
 // instrumentation live in the runtime. The placement/coding scheme itself
 // is pluggable (Config.Placement): the worker is written against
 // placement.Strategy and runs the paper's clique scheme or a resolvable
@@ -29,6 +38,7 @@ package coded
 
 import (
 	"fmt"
+	"os"
 
 	"codedterasort/internal/codec"
 	"codedterasort/internal/combin"
@@ -42,8 +52,12 @@ import (
 	"codedterasort/internal/transport"
 )
 
-// Tag stage namespaces; disjoint from the terasort package's tags.
+// Tag stage bytes. Unicast traffic (r = 1) is tagged with transport.MakeTag,
+// group-scoped multicast traffic (r > 1) with groupTag; the control tags
+// (token, barrier, chunk credits, sampling round) serve both topologies.
 const (
+	tagShuffle   uint8 = 0x10 // monolithic unicast IV, source -> destination
+	tagChunk     uint8 = 0x12 // unicast chunk stream, source -> destination
 	tagCodeGen   uint8 = 0x20
 	tagMulticast uint8 = 0x21
 	tagToken     uint8 = 0x22
@@ -55,10 +69,6 @@ const (
 	tagSampleBounds uint8 = 0x26
 )
 
-// DefaultWindow is the in-flight chunk window used when pipelining is
-// enabled without an explicit Window.
-const DefaultWindow = 4
-
 // groupTag builds the unique tag of group-scoped traffic: the group's
 // strategy-scoped ID (colex rank under the clique scheme, tuple index under
 // resolvable designs; strategy validation caps it well inside 48 bits) plus
@@ -67,13 +77,13 @@ func groupTag(stage uint8, groupID int64, root int) transport.Tag {
 	return transport.Tag(uint64(stage)<<56 | uint64(root)<<48 | uint64(groupID))
 }
 
-// Config describes one CodedTeraSort run. All workers must hold identical
-// configurations.
+// Config describes one run. All workers must hold identical
+// configurations (the coordinator distributes them in the cluster runtime).
 type Config struct {
 	// K is the number of worker nodes.
 	K int
 	// R is the redundancy parameter: every input file is mapped on R nodes
-	// (paper Section IV-A). 1 <= R <= K.
+	// (paper Section IV-A). 1 <= R <= K; R = 1 is the TeraSort baseline.
 	R int
 	// Rows is the total input size in records.
 	Rows int64
@@ -91,8 +101,8 @@ type Config struct {
 	// contributes a deterministic stride sample of its keys, rank 0
 	// selects K-1 splitters from the pooled sample, and the bounds are
 	// broadcast so all ranks partition identically. The pooled sample is a
-	// pure function of the input, so coded and uncoded runs of the same
-	// input agree on the splitters byte for byte.
+	// pure function of the input, so runs of the same input at any R agree
+	// on the splitters byte for byte.
 	Partitioning string
 	// SampleSize is the pooled sample-size target of the sampling round;
 	// 0 selects partition.DefaultSampleSize.
@@ -102,71 +112,69 @@ type Config struct {
 	// TCP coordinator uses after serializing precomputed splitters into
 	// the job spec. Nil runs the round in the stage graph.
 	Splitters [][]byte
-	// Strategy selects the application-layer multicast algorithm
-	// (sequential per Fig 9b, or the binomial tree MPI_Bcast uses).
-	Strategy transport.BcastStrategy
 	// Placement selects the placement/coding strategy: the paper's clique
-	// scheme (C(K,R) subfiles, C(K,R+1) groups; the default) or a
-	// resolvable design (q^(R-1) subfiles, q^R - q^(R-1) groups of size R,
-	// q = K/R — orders of magnitude fewer groups at large K).
+	// scheme (C(K,R) subfiles, C(K,R+1) groups; the default, and the only
+	// one defined at R = 1) or a resolvable design (q^(R-1) subfiles,
+	// q^R - q^(R-1) groups of size R, q = K/R — orders of magnitude fewer
+	// groups at large K).
 	Placement placement.Kind
 	// Input, when non-nil, supplies the strategy's input files directly
 	// instead of generating them: file i (the strategy's file order; colex
-	// order of its node set under the clique scheme) is Input[i]. All
-	// workers must hold the same slice (in-process engines only). Rows and
-	// Seed are ignored for data placement when Input is set.
+	// order of its node set under the clique scheme, so file k is node k's
+	// at R = 1) is Input[i]. All workers must hold the same slice
+	// (in-process engines only). Rows and Seed are ignored for data
+	// placement when Input is set.
 	Input []kv.Records
-	// Parallel lifts the serial sender schedule of Fig 9(b): every node
-	// multicasts its coded packets concurrently — the paper's
-	// "Asynchronous Execution" future direction.
+	// InputFiles, when non-nil, reads the K input files from disk (raw
+	// teragen record format), file k on worker k. R = 1 only: a file read
+	// from one node's disk has no replicas to code against. With MemBudget
+	// set the file is consumed block by block. Mutually exclusive with
+	// Input; Rows and Seed are ignored for data placement when set.
+	InputFiles []string
+	// Parallel lifts the serial sender schedule of Fig 9: every node
+	// shuffles concurrently — the paper's "Asynchronous Execution" future
+	// direction; with per-node egress shaping it shortens the shuffle wall
+	// time at unchanged total load.
 	Parallel bool
 	// Filter, when non-nil, keeps only records it accepts during the Map
-	// stage — the "Beyond Sorting" hook (paper Section VI): coded Grep
-	// selects in Map and multicasts only coded matches. The function must
-	// be pure and identical on all workers, because every replica of a
-	// file must produce identical intermediate values for the XOR
-	// cancellation to hold.
+	// stage — the "Beyond Sorting" hook (paper Section VI): Grep selects
+	// in Map and shuffles only matches. The function must be pure and
+	// identical on all workers, because every replica of a file must
+	// produce identical intermediate values for the XOR cancellation to
+	// hold.
 	Filter func(record []byte) bool
 	// Transform, when non-nil, rewrites each surviving input record into
 	// zero or more intermediate records during the Map stage (after
-	// Filter) — the general map hook behind internal/mapreduce: the coded
+	// Filter) — the general map hook behind internal/mapreduce: the
 	// shuffle moves whatever records the transform emits. Each emitted
 	// record must be kv.RecordSize bytes. Like Filter, the function must
-	// be pure and identical on all workers: every replica of a file must
-	// produce identical intermediate values for the XOR cancellation to
-	// hold.
+	// be pure and identical on all workers.
 	Transform func(record []byte, emit func([]byte))
 	// ChunkRows, when positive, enables the streaming pipelined shuffle
-	// (Section VII's "Asynchronous Execution" direction): every coded
-	// packet is built and multicast as a stream of chunk packets, each the
-	// XOR of ChunkRows-record chunk slices of its contributing segments.
-	// Encode of chunk n+1 overlaps the flight of chunk n and members
-	// decode each chunk on arrival. Zero keeps the monolithic schedule
-	// bit-identical to the paper's. A runtime policy knob: it selects the
-	// engine.ModeChunked schedule.
+	// (Section VII's "Asynchronous Execution" direction): intermediate
+	// data travels in ChunkRows-record chunks (unicast IV slices at R = 1,
+	// XORs of aligned segment chunks above), each built while the previous
+	// one is in flight and decoded on arrival. Zero keeps the paper's
+	// monolithic schedule; positive selects engine.ModeChunked.
 	ChunkRows int
-	// Window bounds unacknowledged in-flight chunk packets per group
-	// stream when pipelining (credits return from every group member), so
-	// peak buffered memory is O(ChunkRows x Window x r) rather than
-	// O(segment bytes). Zero selects DefaultWindow. Ignored when ChunkRows
-	// is zero.
+	// Window bounds unacknowledged in-flight chunks per stream when
+	// pipelining (credits return from every receiver), so peak buffered
+	// memory is O(ChunkRows x Window x R) rather than O(segment bytes).
+	// Zero selects engine.DefaultWindow. Ignored when ChunkRows is zero.
 	Window int
-	// MemBudget, when positive, runs the worker's sorting path out-of-core:
-	// Map consumes each stored file block by block and routes records of
-	// this node's own partition ({I^rank_S : rank in S}, which no coded
-	// packet ever references) into a budget-bounded sorter that spills
-	// radix-sorted runs; the streaming shuffle spills every chunk-decoded
-	// record the same way; and Reduce becomes a streaming loser-tree merge
-	// over the runs. The remotely relevant intermediate values stay in
-	// memory — they are the XOR side information the coding itself
-	// requires — so the budget bounds the sort/reduce footprint, not the
-	// coding state. Output is byte-identical to the in-memory engine.
-	// MemBudget implies the pipelined streaming shuffle; a budget-derived
-	// ChunkRows is chosen when none is set. A runtime policy knob: it
-	// selects the engine.ModeSpill schedule.
+	// MemBudget, when positive, runs the worker out-of-core
+	// (engine.ModeSpill): Map consumes each stored file block by block,
+	// own-partition and received records spill to radix-sorted runs under
+	// the budget, and Reduce becomes a streaming loser-tree merge. At R = 1
+	// remote-bound records spill to per-destination disk spools too; at
+	// R > 1 they stay in memory as the XOR side information Algorithms 1
+	// and 2 require, so the budget bounds the sort/reduce footprint, not
+	// the coding state. Implies the streaming shuffle (a budget-derived
+	// ChunkRows when none is set); output is byte-identical.
 	MemBudget int64
 	// SpillDir is the parent directory for spill files when MemBudget is
-	// positive ("" = the system temp directory).
+	// positive ("" = the system temp directory). Each worker owns a fresh
+	// subdirectory, removed when Run returns.
 	SpillDir string
 	// OutputSink, when non-nil, receives the node's sorted partition as
 	// ascending record blocks during Reduce instead of it being
@@ -175,12 +183,9 @@ type Config struct {
 	// partition arrives as one block.
 	OutputSink func(kv.Records) error
 	// Parallelism bounds the worker-local goroutines of the compute hot
-	// paths: file generation, the Map scatter, per-group packet
-	// Encode/Decode, the Reduce sort and spill-run sorting. 0 selects
-	// runtime.GOMAXPROCS(0); 1 runs every path sequentially; higher values
-	// use that many workers. Every setting produces byte-identical output
-	// (the parallel kernels are deterministic), so it is a pure throughput
-	// knob, distributed by the coordinator like MemBudget.
+	// paths (generation, Map scatter, Pack/Unpack and packet Encode/Decode,
+	// Reduce and spill-run sorting): 0 selects runtime.GOMAXPROCS(0), 1
+	// runs sequentially. Output is byte-identical at every setting.
 	Parallelism int
 	// Hooks observe each timed stage of the run — the instrumentation API
 	// the cluster runtime uses for its stage log. The timeline is always
@@ -198,7 +203,7 @@ type Config struct {
 // policies.
 func (c Config) policies() engine.Policies {
 	return engine.Policies{
-		ChunkRows: c.ChunkRows, Window: c.Window, DefaultWindow: DefaultWindow,
+		ChunkRows: c.ChunkRows, Window: c.Window,
 		MemBudget: c.MemBudget, SpillDir: c.SpillDir,
 		Parallelism: c.Parallelism, Parallel: c.Parallel,
 		Faults:       c.Faults,
@@ -257,6 +262,16 @@ func (c Config) normalize() (Config, error) {
 				len(c.Input), want, strat.Kind(), c.K, c.R)
 		}
 	}
+	if c.InputFiles != nil {
+		switch {
+		case c.R != 1:
+			return c, fmt.Errorf("coded: InputFiles requires r=1, have r=%d", c.R)
+		case c.Input != nil:
+			return c, fmt.Errorf("coded: both Input and InputFiles set")
+		case len(c.InputFiles) != c.K:
+			return c, fmt.Errorf("coded: %d input files for K=%d", len(c.InputFiles), c.K)
+		}
+	}
 	pol, err := c.policies().Normalize("coded", c.K)
 	if err != nil {
 		return c, err
@@ -278,33 +293,33 @@ type Result struct {
 	// SpilledRuns counts the sorted runs this worker spilled to disk
 	// (zero when MemBudget is unset or everything fit in memory).
 	SpilledRuns int64
-	// Spill accounts this worker's spill volume as raw record bytes vs
-	// framed on-disk bytes (zero without MemBudget; the gap is the compact
-	// block format's saving).
+	// Spill accounts this worker's spill volume — runs plus, at R = 1,
+	// shuffle spools — as raw record bytes vs framed on-disk bytes (zero
+	// without MemBudget; the gap is the compact block format's saving).
 	Spill stats.SpillStats
 	// MergeOVCDecided and MergeFullCompares are the final merge's
 	// loser-tree match counters: matches decided by cached offset-value
 	// codes alone vs matches that compared key bytes.
 	MergeOVCDecided   int64
 	MergeFullCompares int64
-	// Times is the node's stage breakdown (CodeGen, Map, Encode under
-	// Pack, Shuffle, Decode under Unpack, Reduce).
+	// Times is the node's stage breakdown (CodeGen, Map, Pack/Encode,
+	// Shuffle, Unpack/Decode, Reduce).
 	Times stats.Breakdown
-	// MulticastBytes counts coded-packet payload bytes this node
-	// multicast, each packet counted once — the paper's communication-load
-	// metric, under which coding wins by a factor r. In pipelined mode
-	// this includes the per-chunk framing overhead (one chunk header and
-	// one inner frame header per chunk instead of one frame header per
-	// packet).
-	MulticastBytes int64
-	// MulticastOps counts coded packets this node multicast.
+	// ShuffleBytes counts the shuffle payload bytes this node sent: unicast
+	// IV bytes at R = 1, coded-packet bytes at R > 1 with each packet
+	// counted once — the paper's communication-load metric, under which
+	// coding wins by a factor r. In pipelined mode this includes the
+	// per-chunk framing overhead.
+	ShuffleBytes int64
+	// MulticastOps counts coded packets this node multicast (zero at
+	// R = 1).
 	MulticastOps int64
 	// Groups is the number of multicast groups this node belongs to:
 	// C(K-1, r) under the clique scheme, q^(r-1) - q^(r-2) under a
-	// resolvable design.
+	// resolvable design; zero at R = 1, where no CodeGen runs.
 	Groups int
-	// ChunksSent and ChunksReceived count pipelined chunk packets this
-	// node multicast and received (zero when ChunkRows is unset).
+	// ChunksSent and ChunksReceived count pipelined chunks this node sent
+	// and received (zero when ChunkRows is unset).
 	ChunksSent     int64
 	ChunksReceived int64
 	// SplitterBounds are the boundary keys this worker partitioned with
@@ -317,10 +332,10 @@ type Result struct {
 	SampleRoundBytes int64
 }
 
-// Run executes the CodedTeraSort worker for ep.Rank() and blocks until this
-// node's part of the job completes. Every rank of the endpoint's world must
-// call Run concurrently with an identical configuration. The timeline may
-// be nil, in which case a wall-clock timeline is used internally.
+// Run executes the worker for ep.Rank() and blocks until this node's part
+// of the job completes. Every rank of the endpoint's world must call Run
+// concurrently with an identical configuration. The timeline may be nil,
+// in which case a wall-clock timeline is used internally.
 func Run(ep transport.Endpoint, cfg Config, tl *stats.Timeline) (Result, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -332,7 +347,14 @@ func Run(ep transport.Endpoint, cfg Config, tl *stats.Timeline) (Result, error) 
 	if tl == nil {
 		tl = stats.NewTimeline(stats.NewWallClock())
 	}
-	w := &worker{cfg: cfg, rank: ep.Rank(), part: cfg.Part, store: codec.IVMap{}}
+	w := &worker{cfg: cfg, rank: ep.Rank(), part: cfg.Part, strat: cfg.strat, store: codec.IVMap{}}
+	if cfg.R == 1 {
+		// A unicast needs no group state, so no CodeGen stage runs; the
+		// one-file-per-node plan is all the placement there is.
+		if w.plan, err = w.strat.Plan(cfg.Rows); err != nil {
+			return Result{}, err
+		}
+	}
 	hooks := engine.TimelineHooks(tl).Then(cfg.Hooks)
 	ctx, err := engine.Run(ep, w.graph(), cfg.policies(), tl.Clock(), hooks)
 	if err != nil {
@@ -342,7 +364,7 @@ func Run(ep transport.Endpoint, cfg Config, tl *stats.Timeline) (Result, error) 
 		w.result.SplitterBounds = sp.Bounds()
 	}
 	w.result.SampleRoundBytes = ctx.Counters.SampleBytes
-	w.result.MulticastBytes = ctx.Counters.SentBytes
+	w.result.ShuffleBytes = ctx.Counters.SentBytes
 	w.result.MulticastOps = ctx.Counters.SentOps
 	w.result.ChunksSent = ctx.Counters.ChunksSent
 	w.result.ChunksReceived = ctx.Counters.ChunksReceived()
@@ -355,11 +377,15 @@ type worker struct {
 	rank int
 	part partition.Partitioner // resolved by config or the sampling stage
 
-	strat    placement.Strategy
-	plan     placement.Plan
+	strat   placement.Strategy
+	plan    placement.Plan
+	store   codec.IVMap  // IVs kept after Map: {I^q_S : rank in S, q == rank or q not in S}
+	decoded []kv.Records // remote share of partition rank, ready for Reduce
+	result  Result
+
+	// Multicast shuffle state (R > 1).
 	myGroups []placement.Group
-	store    codec.IVMap // IVs kept after Map: {I^q_S : rank in S, q == rank or q not in S}
-	packets  [][]byte    // E_{M,rank} per myGroups index
+	packets  [][]byte // E_{M,rank} per myGroups index
 	// received[gi][u] is the packet E_{M,u} received from root u in group
 	// myGroups[gi].
 	received []map[int][]byte
@@ -367,38 +393,67 @@ type worker struct {
 	// myGroups[gi] (pipelined mode: chunks are decoded on arrival, so only
 	// recovered records are retained, never raw packets).
 	streamSegs []map[int]kv.Records
-	decoded    []kv.Records
-	result     Result
+
+	// Unicast shuffle state (R = 1), indexed by peer rank.
+	packed     [][]byte // serialized outbound IVs
+	inbound    [][]byte // packed IVs received
+	spools     []*extsort.Spool
+	spoolBlock []int64
 }
 
-// graph declares the CodedTeraSort stage DAG over the engine runtime: the
-// paper's six-stage monolithic schedule, the chunked streaming variant
-// that collapses Encode+Multicast+Decode into one overlapped stage, and
-// the out-of-core variant that spills through the runtime's sorter — one
+// graph declares the stage DAG over the engine runtime: the paper's
+// monolithic schedule, the chunked streaming variant that collapses
+// Pack/Encode+Shuffle(+Unpack) into one overlapped stage, and the
+// out-of-core variant that spills through the runtime's sorter — one
 // declarative graph, scheduled by the runtime's policy-derived mode. The
-// engine-specific content is exactly the redundant placement plan, the
-// coded Encode/Decode stages, and the multicast-group topology.
+// sampling round, Map and Reduce are shared; the shuffle topology is
+// chosen from R: serial unicast at R = 1, coded multicast groups above.
 func (w *worker) graph() *engine.Graph {
 	g := engine.NewGraph("coded", func(s stats.Stage) transport.Tag {
 		return transport.MakeTag(tagBarrier, uint16(s), 0xFFFF)
 	})
-	g.Add(engine.Stage{Kind: engine.KindCodeGen, Modes: engine.AllModes,
-		Provides: []string{"plan", "groups"}, Run: w.codeGenStage})
-	mapNeeds := []string{"plan"}
+	unicast := w.cfg.R == 1
+	var mapNeeds []string
+	if !unicast {
+		g.Add(engine.Stage{Kind: engine.KindCodeGen, Modes: engine.AllModes,
+			Provides: []string{"plan", "groups"}, Run: w.codeGenStage})
+		mapNeeds = []string{"plan"}
+	}
 	if w.part == nil {
 		// Sampled partitioning without preset splitters: the splitter
-		// agreement rides the graph between CodeGen (it needs the
-		// placement plan to dedupe replicated files) and Map. It shares
-		// the CodeGen timeline column; CodeGen stays the stage fault
+		// agreement rides the graph before Map (after CodeGen, whose plan
+		// it needs to dedupe replicated files). It shares the CodeGen
+		// timeline column; at R > 1 CodeGen stays the stage fault
 		// injection charges for that column.
 		g.Add(engine.Stage{Kind: engine.KindSample, Modes: engine.AllModes,
-			Needs: []string{"plan"}, Provides: []string{"part"}, Run: w.sampleStage})
+			Needs: mapNeeds, Provides: []string{"part"}, Run: w.sampleStage})
 		mapNeeds = append(mapNeeds, "part")
+	}
+	spillProvides := []string{"store", "sorter"}
+	if unicast {
+		spillProvides = []string{"spools", "sorter"}
 	}
 	g.Add(engine.Stage{Kind: engine.KindMap, Modes: engine.InMemory,
 		Needs: mapNeeds, Provides: []string{"store"}, Run: w.mapStage})
 	g.Add(engine.Stage{Kind: engine.KindMap, Modes: engine.In(engine.ModeSpill),
-		Needs: mapNeeds, Provides: []string{"store", "sorter"}, Run: w.mapSpillStage})
+		Needs: mapNeeds, Provides: spillProvides, Run: w.mapSpillStage})
+	if unicast {
+		w.addUnicast(g)
+	} else {
+		w.addMulticast(g)
+	}
+	g.Add(engine.Stage{Kind: engine.KindReduce, Modes: engine.InMemory,
+		Needs: []string{"store", "decoded"}, Run: w.reduceStage})
+	g.Add(engine.Stage{Kind: engine.KindReduce, Modes: engine.In(engine.ModeSpill),
+		Needs: []string{"sorter"}, Run: w.reduceSpillStage})
+	return g
+}
+
+// addMulticast adds the coded shuffle of R > 1: Encode, serial multicast
+// and Decode (monolithic), or one streaming multicast stage that encodes
+// and decodes chunk by chunk followed by the segment merge (chunked; in
+// the spill mode decoded chunks go straight to the sorter).
+func (w *worker) addMulticast(g *engine.Graph) {
 	g.Add(engine.Stage{Kind: engine.KindPack, Modes: engine.In(engine.ModeMono),
 		Needs: []string{"groups", "store"}, Provides: []string{"packets"}, Run: w.encodeStage})
 	g.Add(engine.Stage{Kind: engine.KindShuffle, Modes: engine.In(engine.ModeMono),
@@ -409,11 +464,6 @@ func (w *worker) graph() *engine.Graph {
 		Needs: []string{"received", "store"}, Provides: []string{"decoded"}, Run: w.decodeStage})
 	g.Add(engine.Stage{Kind: engine.KindUnpack, Modes: engine.In(engine.ModeChunked),
 		Needs: []string{"segments"}, Provides: []string{"decoded"}, Run: w.mergeStage})
-	g.Add(engine.Stage{Kind: engine.KindReduce, Modes: engine.InMemory,
-		Needs: []string{"store", "decoded"}, Run: w.reduceStage})
-	g.Add(engine.Stage{Kind: engine.KindReduce, Modes: engine.In(engine.ModeSpill),
-		Needs: []string{"sorter"}, Run: w.reduceSpillStage})
-	return g
 }
 
 // codeGenStage resolves the placement strategy's file indices and multicast
@@ -424,7 +474,6 @@ func (w *worker) graph() *engine.Graph {
 // plays in the paper, whose measured CodeGen time scales with the group
 // count.
 func (w *worker) codeGenStage(ctx *engine.Context) error {
-	w.strat = w.cfg.strat
 	var err error
 	w.plan, err = w.strat.Plan(w.cfg.Rows)
 	if err != nil {
@@ -452,13 +501,26 @@ func (w *worker) codeGenStage(ctx *engine.Context) error {
 }
 
 // mapStage hashes every locally stored file and keeps only the relevant
-// intermediate values (Fig 5). Generation and the per-file scatter run on
-// the worker's Parallelism goroutines.
+// intermediate values (Fig 5; at R = 1 that is all K partitions of the
+// node's one file, Section III-A3). Generation and the per-file scatter
+// run on the worker's Parallelism goroutines.
 func (w *worker) mapStage(ctx *engine.Context) error {
 	var source func(int) kv.Records
-	if w.cfg.Input != nil {
+	switch {
+	case w.cfg.Input != nil:
 		source = func(i int) kv.Records { return w.cfg.Input[i] }
-	} else {
+	case w.cfg.InputFiles != nil:
+		// R = 1: the node's one stored file is its own part file.
+		buf, err := os.ReadFile(w.cfg.InputFiles[w.rank])
+		if err != nil {
+			return fmt.Errorf("coded: read input file: %w", err)
+		}
+		recs, err := kv.NewRecords(buf)
+		if err != nil {
+			return err
+		}
+		source = func(int) kv.Records { return recs }
+	default:
 		gen := kv.NewGenerator(w.cfg.Seed, w.cfg.Dist)
 		source = func(i int) kv.Records {
 			first, last := w.plan.FileRows(i)
@@ -502,10 +564,16 @@ func (w *worker) sampleStage(ctx *engine.Context) error {
 // holder contributes the file's sampled rows; the deduped shares then tile
 // the row space exactly once, making the pooled sample — and hence the
 // splitters — a pure function of the input and the sample size, identical
-// to what an uncoded run of the same input agrees on. Map-stage hooks
-// apply before key extraction so the splitters balance the records the
-// shuffle will actually carry.
+// at every R. Map-stage hooks apply before key extraction so the
+// splitters balance the records the shuffle will actually carry.
 func (w *worker) sampleKeys() ([]byte, error) {
+	if w.cfg.InputFiles != nil {
+		sampled, err := sampleFile(w.cfg.InputFiles[w.rank], w.cfg.K, w.cfg.SampleSize)
+		if err != nil {
+			return nil, err
+		}
+		return w.mapRecords(sampled).Keys(), nil
+	}
 	// File-order global offsets: generated files tile [0, Rows) via the
 	// plan; supplied input files tile by cumulative length.
 	offsets := make([]int64, w.plan.NumFiles()+1)
@@ -522,7 +590,7 @@ func (w *worker) sampleKeys() ([]byte, error) {
 	rec := make([]byte, kv.RecordSize)
 	sampled := kv.MakeRecords(0)
 	for _, fi := range w.plan.FilesOn(w.rank) {
-		if minMember(w.plan.Files[fi], w.plan.K) != w.rank {
+		if w.plan.Files[fi].Min() != w.rank {
 			continue
 		}
 		first, last := offsets[fi], offsets[fi+1]
@@ -538,17 +606,6 @@ func (w *worker) sampleKeys() ([]byte, error) {
 		}
 	}
 	return w.mapRecords(sampled).Keys(), nil
-}
-
-// minMember returns the smallest rank in the set (sets are never empty in
-// a placement plan).
-func minMember(s combin.Set, k int) int {
-	for q := 0; q < k; q++ {
-		if s.Contains(q) {
-			return q
-		}
-	}
-	return -1
 }
 
 // mapRecords applies the Map-stage record hooks in order: Filter selects,
@@ -572,21 +629,34 @@ func filterRecords(r kv.Records, keep func([]byte) bool) kv.Records {
 }
 
 // mapSpillStage is the out-of-core Map: every stored file is consumed
-// block by block (never materialized whole), and each block's partitions
-// route by destiny — records of this node's own partition go straight into
-// the runtime's budget-bounded sorter (no coded packet ever references
-// them, see Config.MemBudget), while the remotely relevant intermediate
-// values accumulate in the in-memory store exactly as the monolithic Map
-// builds them, because they are the XOR side information of Algorithms 1
-// and 2.
+// block by block — generated, supplied in memory, or read from disk — and
+// never materialized whole. Each block's partitions route by destiny:
+// records of this node's own partition go straight into the runtime's
+// budget-bounded sorter, and remote-bound records go where the shuffle
+// will read them — to per-destination disk spools framed at ChunkRows at
+// R = 1, or into the in-memory store at R > 1, exactly as the monolithic
+// Map builds it, because there they are the XOR side information of
+// Algorithms 1 and 2 (see Config.MemBudget).
 func (w *worker) mapSpillStage(ctx *engine.Context) error {
 	sorter, err := ctx.Sorter()
 	if err != nil {
 		return err
 	}
+	remote := func(q int, fileSet combin.Set, recs kv.Records) error {
+		w.store.Put(q, fileSet, w.store.IV(q, fileSet).AppendRecords(recs))
+		return nil
+	}
+	if w.cfg.R == 1 {
+		if remote, err = w.openSpools(ctx, sorter.Dir()); err != nil {
+			return err
+		}
+	}
 	scan := func(i int, fn func(kv.Records) error) error {
-		if w.cfg.Input != nil {
+		switch {
+		case w.cfg.Input != nil:
 			return w.cfg.Input[i].ForEachBlock(w.cfg.ChunkRows, fn)
+		case w.cfg.InputFiles != nil:
+			return extsort.ScanFile(w.cfg.InputFiles[i], w.cfg.ChunkRows, fn)
 		}
 		gen := kv.NewGenerator(w.cfg.Seed, w.cfg.Dist)
 		first, last := w.plan.FileRows(i)
@@ -603,13 +673,18 @@ func (w *worker) mapSpillStage(ctx *engine.Context) error {
 						return err
 					}
 				case !fileSet.Contains(q):
-					w.store.Put(q, fileSet, w.store.IV(q, fileSet).AppendRecords(parts[q]))
+					if err := remote(q, fileSet, parts[q]); err != nil {
+						return err
+					}
 				}
 			}
 			return nil
 		}); err != nil {
 			return err
 		}
+	}
+	if w.cfg.R == 1 {
+		return w.finishSpools()
 	}
 	return nil
 }
@@ -647,12 +722,6 @@ func MapFiles(plan placement.Plan, part partition.Partitioner, gen *kv.Generator
 	return mapRelevant(plan, part, rank, func(i int) kv.Records {
 		return plan.Materialize(gen, i)
 	}, 1)
-}
-
-// MapFilesInput is MapFiles over directly supplied input files, indexed by
-// colex file rank.
-func MapFilesInput(plan placement.Plan, part partition.Partitioner, input []kv.Records, rank int) codec.IVMap {
-	return mapRelevant(plan, part, rank, func(i int) kv.Records { return input[i] }, 1)
 }
 
 func mapRelevant(plan placement.Plan, part partition.Partitioner, rank int, file func(int) kv.Records, procs int) codec.IVMap {
@@ -927,8 +996,9 @@ func (w *worker) decodeStage(ctx *engine.Context) error {
 }
 
 // reduceStage concatenates the locally mapped share of partition `rank`
-// ({I^rank_S : rank in S}) with the decoded remote share
-// ({I^rank_S : rank not in S}) and sorts (Section IV-F).
+// ({I^rank_S : rank in S}) with the received remote share
+// ({I^rank_S : rank not in S}, in ascending source order) and sorts
+// (Sections III-A5 and IV-F).
 func (w *worker) reduceStage(ctx *engine.Context) error {
 	parts := make([]kv.Records, 0, len(w.decoded)+w.plan.NumFiles())
 	for _, fi := range w.plan.FilesOn(w.rank) {

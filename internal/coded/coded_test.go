@@ -1,6 +1,7 @@
 package coded
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -11,15 +12,17 @@ import (
 	"codedterasort/internal/partition"
 	"codedterasort/internal/placement"
 	"codedterasort/internal/stats"
-	"codedterasort/internal/terasort"
 	"codedterasort/internal/transport"
 	"codedterasort/internal/transport/memnet"
 	"codedterasort/internal/transport/netem"
 	"codedterasort/internal/verify"
 )
 
-// runAll executes a full CodedTeraSort over an in-memory mesh.
-func runAll(t *testing.T, cfg Config) []Result {
+// run executes a full job over an in-memory mesh whose collectives use the
+// given multicast strategy. perRank, when non-nil, adjusts each rank's copy
+// of the config (budget tests install per-rank output sinks, which must not
+// be shared).
+func run(t *testing.T, cfg Config, strategy transport.BcastStrategy, perRank func(rank int, c *Config)) []Result {
 	t.Helper()
 	mesh := memnet.NewMesh(cfg.K)
 	defer mesh.Close()
@@ -30,8 +33,12 @@ func runAll(t *testing.T, cfg Config) []Result {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			ep := transport.WithCollectives(mesh.Endpoint(rank), cfg.Strategy)
-			results[rank], errs[rank] = Run(ep, cfg, nil)
+			c := cfg
+			if perRank != nil {
+				perRank(rank, &c)
+			}
+			ep := transport.WithCollectives(mesh.Endpoint(rank), strategy)
+			results[rank], errs[rank] = Run(ep, c, nil)
 		}(r)
 	}
 	wg.Wait()
@@ -43,6 +50,12 @@ func runAll(t *testing.T, cfg Config) []Result {
 	return results
 }
 
+// runAll is run with serial multicast and one shared config.
+func runAll(t *testing.T, cfg Config) []Result {
+	t.Helper()
+	return run(t, cfg, transport.BcastSequential, nil)
+}
+
 func outputs(results []Result) []kv.Records {
 	out := make([]kv.Records, len(results))
 	for i, r := range results {
@@ -51,60 +64,86 @@ func outputs(results []Result) []kv.Records {
 	return out
 }
 
-func TestEndToEndSortsCorrectly(t *testing.T) {
-	cfg := Config{K: 4, R: 2, Rows: 4200, Seed: 1}
-	results := runAll(t, cfg)
-	in := verify.DescribeGenerated(kv.NewGenerator(1, kv.DistUniform), cfg.Rows)
-	if err := verify.SortedOutput(outputs(results), partition.NewUniform(4), in); err != nil {
-		t.Fatal(err)
+// modes are the engine's three execution schedules: the paper's
+// stage-by-stage one, the chunk-streaming pipeline, and the out-of-core
+// spill path (a budget well below the data, so runs really spill).
+var modes = []struct {
+	name string
+	set  func(t *testing.T, c *Config)
+}{
+	{"mono", func(*testing.T, *Config) {}},
+	{"chunked", func(_ *testing.T, c *Config) { c.ChunkRows = 97 }},
+	{"spill", func(t *testing.T, c *Config) { c.MemBudget, c.SpillDir = 16*1024, t.TempDir() }},
+}
+
+// forEachRMode runs body as a subtest for every R in rs under every mode,
+// with cfg.R and the mode's knobs set. R = 1 is the TeraSort baseline.
+func forEachRMode(t *testing.T, rs []int, base Config, body func(t *testing.T, cfg Config)) {
+	t.Helper()
+	for _, r := range rs {
+		for _, m := range modes {
+			t.Run(fmt.Sprintf("r=%d/%s", r, m.name), func(t *testing.T) {
+				cfg := base
+				cfg.R = r
+				m.set(t, &cfg)
+				body(t, cfg)
+			})
+		}
 	}
+}
+
+func TestEndToEndSortsCorrectly(t *testing.T) {
+	forEachRMode(t, []int{1, 2, 3}, Config{K: 4, Rows: 4200, Seed: 1}, func(t *testing.T, cfg Config) {
+		results := runAll(t, cfg)
+		in := verify.DescribeGenerated(kv.NewGenerator(1, kv.DistUniform), cfg.Rows)
+		if err := verify.SortedOutput(outputs(results), partition.NewUniform(4), in); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestMatchesSequentialSort(t *testing.T) {
-	cfg := Config{K: 4, R: 2, Rows: 1200, Seed: 7}
-	results := runAll(t, cfg)
-	all := kv.Concat(outputs(results)...)
-	want := kv.NewGenerator(7, kv.DistUniform).Generate(0, cfg.Rows)
+	want := kv.NewGenerator(7, kv.DistUniform).Generate(0, 1200)
 	want.Sort()
-	if !all.Equal(want) {
-		t.Fatalf("coded output != sequential sort")
-	}
+	forEachRMode(t, []int{1, 2, 3}, Config{K: 4, Rows: 1200, Seed: 7}, func(t *testing.T, cfg Config) {
+		if !kv.Concat(outputs(runAll(t, cfg))...).Equal(want) {
+			t.Fatalf("distributed output != sequential sort")
+		}
+	})
 }
 
 func TestMatchesTeraSortOutput(t *testing.T) {
-	// CodedTeraSort and TeraSort must produce identical per-partition
-	// outputs for the same input and partitioner.
+	// CodedTeraSort and its r=1 TeraSort point must produce identical
+	// per-partition outputs for the same input and partitioner.
 	const k, rows, seed = 5, 2500, 42
 	codedRes := runAll(t, Config{K: k, R: 3, Rows: rows, Seed: seed})
-
-	mesh := memnet.NewMesh(k)
-	defer mesh.Close()
-	teraRes := make([]terasort.Result, k)
-	var wg sync.WaitGroup
-	for r := 0; r < k; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			ep := transport.WithCollectives(mesh.Endpoint(rank), transport.BcastSequential)
-			res, err := terasort.Run(ep, terasort.Config{K: k, Rows: rows, Seed: seed}, nil)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			teraRes[rank] = res
-		}(r)
-	}
-	wg.Wait()
+	teraRes := runAll(t, Config{K: k, R: 1, Rows: rows, Seed: seed})
 	for rank := 0; rank < k; rank++ {
 		if !codedRes[rank].Output.Equal(teraRes[rank].Output) {
-			t.Fatalf("partition %d differs between algorithms", rank)
+			t.Fatalf("partition %d differs between r=3 and r=1", rank)
+		}
+	}
+}
+
+func TestVariousClusterSizes(t *testing.T) {
+	for _, k := range []int{1, 2, 5, 8, 16} {
+		for _, r := range []int{1, 2} {
+			if r > k {
+				continue
+			}
+			cfg := Config{K: k, R: r, Rows: int64(200 * k), Seed: uint64(k)}
+			results := runAll(t, cfg)
+			in := verify.DescribeGenerated(kv.NewGenerator(uint64(k), kv.DistUniform), cfg.Rows)
+			if err := verify.SortedOutput(outputs(results), partition.NewUniform(k), in); err != nil {
+				t.Fatalf("K=%d r=%d: %v", k, r, err)
+			}
 		}
 	}
 }
 
 func TestAllRedundancyLevels(t *testing.T) {
-	// r = 1 (no coding benefit, unicast-equivalent) through r = K
-	// (everything local, nothing shuffled).
+	// r = 1 (no coding benefit: the unicast TeraSort shuffle) through
+	// r = K (everything local, nothing shuffled).
 	const k, rows = 5, 1500
 	for r := 1; r <= k; r++ {
 		cfg := Config{K: k, R: r, Rows: rows, Seed: uint64(r)}
@@ -113,10 +152,10 @@ func TestAllRedundancyLevels(t *testing.T) {
 		if err := verify.SortedOutput(outputs(results), partition.NewUniform(k), in); err != nil {
 			t.Fatalf("r=%d: %v", r, err)
 		}
-		if r == k {
+		if r == 1 || r == k {
 			for _, res := range results {
 				if res.MulticastOps != 0 {
-					t.Fatalf("r=K should multicast nothing, got %d ops", res.MulticastOps)
+					t.Fatalf("r=%d should multicast nothing, got %d ops", r, res.MulticastOps)
 				}
 			}
 		}
@@ -125,8 +164,8 @@ func TestAllRedundancyLevels(t *testing.T) {
 
 func TestBothMulticastStrategies(t *testing.T) {
 	for _, s := range []transport.BcastStrategy{transport.BcastSequential, transport.BcastBinomialTree} {
-		cfg := Config{K: 6, R: 3, Rows: 3000, Seed: 99, Strategy: s}
-		results := runAll(t, cfg)
+		cfg := Config{K: 6, R: 3, Rows: 3000, Seed: 99}
+		results := run(t, cfg, s, nil)
 		in := verify.DescribeGenerated(kv.NewGenerator(99, kv.DistUniform), cfg.Rows)
 		if err := verify.SortedOutput(outputs(results), partition.NewUniform(6), in); err != nil {
 			t.Fatalf("strategy %v: %v", s, err)
@@ -135,33 +174,43 @@ func TestBothMulticastStrategies(t *testing.T) {
 }
 
 func TestEmptyAndTinyInputs(t *testing.T) {
-	for _, rows := range []int64{0, 1, 5} {
-		cfg := Config{K: 4, R: 2, Rows: rows, Seed: 3}
-		results := runAll(t, cfg)
-		in := verify.DescribeGenerated(kv.NewGenerator(3, kv.DistUniform), rows)
-		if err := verify.SortedOutput(outputs(results), partition.NewUniform(4), in); err != nil {
-			t.Fatalf("rows=%d: %v", rows, err)
+	// Empty input and fewer rows than nodes (files, partitions and streams
+	// go empty) at every R and in every mode.
+	for _, k := range []int{4, 8} {
+		for _, rows := range []int64{0, 1, 3, 5} {
+			forEachRMode(t, []int{1, 2, 3}, Config{K: k, Rows: rows, Seed: 3}, func(t *testing.T, cfg Config) {
+				results := runAll(t, cfg)
+				in := verify.DescribeGenerated(kv.NewGenerator(3, kv.DistUniform), rows)
+				if err := verify.SortedOutput(outputs(results), partition.NewUniform(k), in); err != nil {
+					t.Fatalf("K=%d rows=%d: %v", k, rows, err)
+				}
+			})
 		}
 	}
 }
 
 func TestSkewedInputWithSampledPartitioner(t *testing.T) {
-	const k, r, rows = 4, 2, 4000
+	// Production TeraSort practice: sample, then range-partition. The run
+	// must stay correct under heavy key skew at every R.
+	const k, rows = 4, 4000
 	sample := kv.NewGenerator(9, kv.DistSkewed).Generate(0, 400)
 	part, err := partition.FromSample(sample, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{K: k, R: r, Rows: rows, Seed: 9, Dist: kv.DistSkewed, Part: part}
-	results := runAll(t, cfg)
-	in := verify.DescribeGenerated(kv.NewGenerator(9, kv.DistSkewed), rows)
-	if err := verify.SortedOutput(outputs(results), part, in); err != nil {
-		t.Fatal(err)
-	}
+	base := Config{K: k, Rows: rows, Seed: 9, Dist: kv.DistSkewed, Part: part}
+	forEachRMode(t, []int{1, 2, 3}, base, func(t *testing.T, cfg Config) {
+		results := runAll(t, cfg)
+		in := verify.DescribeGenerated(kv.NewGenerator(9, kv.DistSkewed), rows)
+		if err := verify.SortedOutput(outputs(results), part, in); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestGroupCount(t *testing.T) {
-	// Each node belongs to C(K-1, r) multicast groups.
+	// Each node belongs to C(K-1, r) multicast groups; at r=1 no CodeGen
+	// runs and no groups form.
 	cfg := Config{K: 6, R: 2, Rows: 600, Seed: 1}
 	results := runAll(t, cfg)
 	want := int(combin.Binomial(5, 2))
@@ -172,6 +221,29 @@ func TestGroupCount(t *testing.T) {
 		if res.MulticastOps != int64(want) {
 			t.Fatalf("rank %d multicast %d packets, want %d", rank, res.MulticastOps, want)
 		}
+	}
+	cfg.R = 1
+	for rank, res := range runAll(t, cfg) {
+		if res.Groups != 0 {
+			t.Fatalf("r=1 rank %d in %d groups, want 0", rank, res.Groups)
+		}
+	}
+}
+
+func TestShuffleBytesMatchTheory(t *testing.T) {
+	// At r=1 the total shuffled payload is ~(K-1)/K of the input bytes
+	// plus the 4-byte pack headers (the paper's uncoded communication
+	// load).
+	results := runAll(t, Config{K: 4, R: 1, Rows: 4000, Seed: 11})
+	var total int64
+	for _, r := range results {
+		total += r.ShuffleBytes
+	}
+	inputBytes := int64(4000 * kv.RecordSize)
+	want := inputBytes * 3 / 4
+	headers := int64(4 * 3 * 4) // K*(K-1) packed IVs, 4-byte headers
+	if total < want-inputBytes/10 || total > want+inputBytes/10+headers {
+		t.Fatalf("shuffled %d bytes, want about %d", total, want)
 	}
 }
 
@@ -186,7 +258,7 @@ func TestMulticastLoadBeatsUncodedByR(t *testing.T) {
 		results := runAll(t, Config{K: k, R: r, Rows: rows, Seed: seed})
 		var coded int64
 		for _, res := range results {
-			coded += res.MulticastBytes
+			coded += res.ShuffleBytes
 		}
 		wantLoad := float64(dataBytes) * (1 - float64(r)/float64(k)) / float64(r)
 		if f := float64(coded); f < wantLoad*0.95 || f > wantLoad*1.15 {
@@ -262,16 +334,18 @@ func TestMapKeepsCompleteCoverage(t *testing.T) {
 }
 
 func TestStageTimesPopulated(t *testing.T) {
-	cfg := Config{K: 4, R: 2, Rows: 2000, Seed: 2}
-	results := runAll(t, cfg)
-	for rank, res := range results {
-		if res.Times[stats.StageCodeGen] <= 0 {
-			t.Fatalf("rank %d CodeGen time missing", rank)
+	// CodeGen runs only for coded shuffles (r > 1); every schedule times
+	// its Reduce.
+	forEachRMode(t, []int{1, 2, 3}, Config{K: 4, Rows: 2000, Seed: 2}, func(t *testing.T, cfg Config) {
+		for rank, res := range runAll(t, cfg) {
+			if codeGen := res.Times[stats.StageCodeGen]; (cfg.R > 1) != (codeGen > 0) {
+				t.Fatalf("rank %d CodeGen time %v at r=%d", rank, codeGen, cfg.R)
+			}
+			if res.Times[stats.StageReduce] <= 0 {
+				t.Fatalf("rank %d Reduce time missing", rank)
+			}
 		}
-		if res.Times[stats.StageReduce] <= 0 {
-			t.Fatalf("rank %d Reduce time missing", rank)
-		}
-	}
+	})
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -283,8 +357,11 @@ func TestConfigValidation(t *testing.T) {
 		{K: 2, R: 0},
 		{K: 2, R: 3},
 		{K: 2, R: 1, Rows: -1},
+		{K: 2, R: 2, Rows: -5},
 		{K: 3, R: 1, Rows: 10}, // world-size mismatch
 		{K: 2, R: 1, Part: partition.NewUniform(7)},
+		{K: 2, R: 2, Part: partition.NewUniform(5)},
+		{K: 2, R: 1, Placement: placement.KindResolvable}, // resolvable needs r >= 2
 	}
 	for i, cfg := range bad {
 		if _, err := Run(ep, cfg, nil); err == nil {
@@ -294,34 +371,38 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestTransportFailureSurfaces(t *testing.T) {
-	const k = 4
-	mesh := memnet.NewMesh(k)
-	defer mesh.Close()
-	cfg := Config{K: k, R: 2, Rows: 400, Seed: 3}
-	rank0Err := make(chan error, 1)
-	var wg sync.WaitGroup
-	go func() {
-		conn := netem.Fail(mesh.Endpoint(0), 2, transport.ErrClosed)
-		ep := transport.WithCollectives(conn, transport.BcastSequential)
-		_, err := Run(ep, cfg, nil)
-		rank0Err <- err
-	}()
-	for r := 1; r < k; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			ep := transport.WithCollectives(mesh.Endpoint(rank), transport.BcastSequential)
-			_, _ = Run(ep, cfg, nil)
-		}(r)
-	}
-	err0 := <-rank0Err
-	mesh.Close()
-	wg.Wait()
-	if err0 == nil {
-		t.Fatalf("rank 0 should have failed")
-	}
-	if !strings.Contains(err0.Error(), "rank 0") {
-		t.Fatalf("error lacks context: %v", err0)
+	// A send failure mid-shuffle must produce an error mentioning the
+	// rank, not a hang or silent corruption, on either shuffle topology.
+	for _, c := range []struct{ k, r, failAfter int }{{3, 1, 3}, {4, 1, 3}, {4, 2, 2}} {
+		mesh := memnet.NewMesh(c.k)
+		cfg := Config{K: c.k, R: c.r, Rows: 400, Seed: 3}
+		rank0Err := make(chan error, 1)
+		var wg sync.WaitGroup
+		go func() {
+			conn := netem.Fail(mesh.Endpoint(0), c.failAfter, transport.ErrClosed)
+			ep := transport.WithCollectives(conn, transport.BcastSequential)
+			_, err := Run(ep, cfg, nil)
+			rank0Err <- err
+		}()
+		for r := 1; r < c.k; r++ {
+			wg.Add(1)
+			go func(rank int) {
+				defer wg.Done()
+				ep := transport.WithCollectives(mesh.Endpoint(rank), transport.BcastSequential)
+				// Errors here are expected: the cluster is going down.
+				_, _ = Run(ep, cfg, nil)
+			}(r)
+		}
+		err0 := <-rank0Err
+		// Tear the mesh down to release peers blocked on the dead rank.
+		mesh.Close()
+		wg.Wait()
+		if err0 == nil {
+			t.Fatalf("K=%d r=%d: rank 0 should have failed", c.k, c.r)
+		}
+		if !strings.Contains(err0.Error(), "rank 0") {
+			t.Fatalf("K=%d r=%d: error lacks context: %v", c.k, c.r, err0)
+		}
 	}
 }
 
@@ -338,22 +419,26 @@ func TestLargerClusterSmoke(t *testing.T) {
 	}
 }
 
-func BenchmarkCodedTeraSortK4R2(b *testing.B) {
-	cfg := Config{K: 4, R: 2, Rows: 20000, Seed: 1}
-	for i := 0; i < b.N; i++ {
-		mesh := memnet.NewMesh(cfg.K)
-		var wg sync.WaitGroup
-		for r := 0; r < cfg.K; r++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				ep := transport.WithCollectives(mesh.Endpoint(rank), cfg.Strategy)
-				if _, err := Run(ep, cfg, nil); err != nil {
-					b.Error(err)
+func BenchmarkRunK4(b *testing.B) {
+	for _, r := range []int{1, 2} {
+		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
+			cfg := Config{K: 4, R: r, Rows: 20000, Seed: 1}
+			for i := 0; i < b.N; i++ {
+				mesh := memnet.NewMesh(cfg.K)
+				var wg sync.WaitGroup
+				for rank := 0; rank < cfg.K; rank++ {
+					wg.Add(1)
+					go func(rank int) {
+						defer wg.Done()
+						ep := transport.WithCollectives(mesh.Endpoint(rank), transport.BcastSequential)
+						if _, err := Run(ep, cfg, nil); err != nil {
+							b.Error(err)
+						}
+					}(rank)
 				}
-			}(r)
-		}
-		wg.Wait()
-		mesh.Close()
+				wg.Wait()
+				mesh.Close()
+			}
+		})
 	}
 }

@@ -2,7 +2,6 @@ package coded
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 
 	"codedterasort/internal/combin"
@@ -12,50 +11,26 @@ import (
 	"codedterasort/internal/transport/memnet"
 )
 
-// runConfig executes a full CodedTeraSort over memnet for an arbitrary
-// config (shared by the extension tests).
-func runConfig(t *testing.T, cfg Config) []Result {
-	t.Helper()
-	mesh := memnet.NewMesh(cfg.K)
-	defer mesh.Close()
-	results := make([]Result, cfg.K)
-	errs := make([]error, cfg.K)
-	var wg sync.WaitGroup
-	for r := 0; r < cfg.K; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			ep := transport.WithCollectives(mesh.Endpoint(rank), cfg.Strategy)
-			results[rank], errs[rank] = Run(ep, cfg, nil)
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	return results
-}
-
 func TestInjectedInputMatchesGenerated(t *testing.T) {
 	// Supplying the generator's own files via Input must give outputs
-	// identical to generated mode.
-	const k, r, rows, seed = 4, 2, 1200, 31
-	plan, err := placement.Redundant(k, r, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := kv.NewGenerator(seed, kv.DistUniform)
-	input := make([]kv.Records, plan.NumFiles())
-	for i := range input {
-		input[i] = plan.Materialize(gen, i)
-	}
-	genResults := runConfig(t, Config{K: k, R: r, Rows: rows, Seed: seed})
-	injResults := runConfig(t, Config{K: k, R: r, Rows: rows, Seed: seed, Input: input})
-	for rank := range genResults {
-		if !genResults[rank].Output.Equal(injResults[rank].Output) {
-			t.Fatalf("rank %d output differs between generated and injected input", rank)
+	// identical to generated mode; at r=1 file k is node k's.
+	const k, rows, seed = 4, 1200, 31
+	for _, r := range []int{1, 2, 3} {
+		plan, err := placement.Redundant(k, r, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := kv.NewGenerator(seed, kv.DistUniform)
+		input := make([]kv.Records, plan.NumFiles())
+		for i := range input {
+			input[i] = plan.Materialize(gen, i)
+		}
+		genResults := runAll(t, Config{K: k, R: r, Rows: rows, Seed: seed})
+		injResults := runAll(t, Config{K: k, R: r, Rows: rows, Seed: seed, Input: input})
+		for rank := range genResults {
+			if !genResults[rank].Output.Equal(injResults[rank].Output) {
+				t.Fatalf("r=%d rank %d output differs between generated and injected input", r, rank)
+			}
 		}
 	}
 }
@@ -67,26 +42,35 @@ func TestInjectedInputValidation(t *testing.T) {
 	if _, err := Run(ep, Config{K: 2, R: 2, Input: []kv.Records{{}, {}}}, nil); err == nil {
 		t.Fatalf("wrong input file count accepted (want C(2,2)=1, gave 2)")
 	}
+	if _, err := Run(ep, Config{K: 2, R: 1, Input: []kv.Records{{}}}, nil); err == nil {
+		t.Fatalf("wrong input file count accepted (want C(2,1)=2, gave 1)")
+	}
 }
 
-func TestParallelMulticastMatchesSerial(t *testing.T) {
-	base := Config{K: 5, R: 2, Rows: 2500, Seed: 32}
-	serial := runConfig(t, base)
-	par := base
-	par.Parallel = true
-	parallel := runConfig(t, par)
-	for rank := range serial {
-		if !serial[rank].Output.Equal(parallel[rank].Output) {
-			t.Fatalf("rank %d differs between schedules", rank)
+func TestParallelShuffleMatchesSerial(t *testing.T) {
+	// Lifting the serial sender schedule of Fig 9 changes timing, never
+	// output: unicast at r=1, multicast above.
+	for _, c := range []struct {
+		r    int
+		seed uint64
+	}{{1, 41}, {2, 32}} {
+		base := Config{K: 5, R: c.r, Rows: 2500, Seed: c.seed}
+		serial := runAll(t, base)
+		par := base
+		par.Parallel = true
+		parallel := runAll(t, par)
+		for rank := range serial {
+			if !serial[rank].Output.Equal(parallel[rank].Output) {
+				t.Fatalf("r=%d rank %d differs between schedules", c.r, rank)
+			}
 		}
 	}
 }
 
 func TestParallelWithTreeMulticast(t *testing.T) {
-	cfg := Config{K: 6, R: 3, Rows: 3000, Seed: 33,
-		Strategy: transport.BcastBinomialTree, Parallel: true}
-	results := runConfig(t, cfg)
-	all := kv.Concat(resultOutputs(results)...)
+	cfg := Config{K: 6, R: 3, Rows: 3000, Seed: 33, Parallel: true}
+	results := run(t, cfg, transport.BcastBinomialTree, nil)
+	all := kv.Concat(outputs(results)...)
 	want := kv.NewGenerator(33, kv.DistUniform).Generate(0, 3000)
 	want.Sort()
 	if !all.Equal(want) {
@@ -94,37 +78,62 @@ func TestParallelWithTreeMulticast(t *testing.T) {
 	}
 }
 
-func TestFilterCodedGrep(t *testing.T) {
+func TestFilterGrep(t *testing.T) {
 	// The "Beyond Sorting" hook: only matching records survive, and the
-	// distributed result equals a sequential filter+sort.
-	const k, r, rows, seed = 4, 2, 4000, 34
-	pattern := []byte("AB")
-	match := func(rec []byte) bool { return bytes.Contains(rec[kv.KeySize:], pattern) }
-	results := runConfig(t, Config{K: k, R: r, Rows: rows, Seed: seed, Filter: match})
-	got := kv.Concat(resultOutputs(results)...)
+	// distributed result equals a sequential filter+sort — uncoded grep at
+	// r=1, coded grep above.
+	const k, rows = 4, 4000
+	for _, c := range []struct {
+		r       int
+		seed    uint64
+		pattern string
+	}{{1, 42, "XY"}, {2, 34, "AB"}, {3, 34, "AB"}} {
+		match := func(rec []byte) bool { return bytes.Contains(rec[kv.KeySize:], []byte(c.pattern)) }
+		results := runAll(t, Config{K: k, R: c.r, Rows: rows, Seed: c.seed, Filter: match})
+		got := kv.Concat(outputs(results)...)
 
-	data := kv.NewGenerator(seed, kv.DistUniform).Generate(0, rows)
-	want := kv.MakeRecords(0)
-	for i := 0; i < data.Len(); i++ {
-		if match(data.Record(i)) {
-			want = want.Append(data.Record(i))
+		data := kv.NewGenerator(c.seed, kv.DistUniform).Generate(0, rows)
+		want := kv.MakeRecords(0)
+		for i := 0; i < data.Len(); i++ {
+			if match(data.Record(i)) {
+				want = want.Append(data.Record(i))
+			}
 		}
-	}
-	want.Sort()
-	if !got.Equal(want) {
-		t.Fatalf("coded grep: %d records, want %d", got.Len(), want.Len())
-	}
-	if want.Len() == 0 {
-		t.Fatalf("degenerate test: no matches")
+		want.Sort()
+		if !got.Equal(want) {
+			t.Fatalf("r=%d grep: %d records, want %d", c.r, got.Len(), want.Len())
+		}
+		if want.Len() == 0 {
+			t.Fatalf("degenerate test: no matches")
+		}
 	}
 }
 
 func TestFilterRejectAll(t *testing.T) {
-	results := runConfig(t, Config{K: 4, R: 2, Rows: 400, Seed: 35,
-		Filter: func([]byte) bool { return false }})
-	for rank, res := range results {
-		if res.Output.Len() != 0 {
-			t.Fatalf("rank %d produced %d records under reject-all filter", rank, res.Output.Len())
+	for _, r := range []int{1, 2} {
+		results := runAll(t, Config{K: 4, R: r, Rows: 400, Seed: 35,
+			Filter: func([]byte) bool { return false }})
+		for rank, res := range results {
+			if res.Output.Len() != 0 {
+				t.Fatalf("r=%d rank %d produced %d records under reject-all filter", r, rank, res.Output.Len())
+			}
+		}
+	}
+}
+
+func TestFilterShrinksShuffle(t *testing.T) {
+	const k, rows, seed = 4, 4000, 43
+	for _, r := range []int{1, 2} {
+		full := runAll(t, Config{K: k, R: r, Rows: rows, Seed: seed})
+		filtered := runAll(t, Config{K: k, R: r, Rows: rows, Seed: seed,
+			Filter: func(rec []byte) bool { return rec[0] < 0x20 }}) // ~1/8 of records
+		var fullBytes, filteredBytes int64
+		for i := range full {
+			fullBytes += full[i].ShuffleBytes
+			filteredBytes += filtered[i].ShuffleBytes
+		}
+		if filteredBytes*4 >= fullBytes {
+			t.Fatalf("r=%d: filtered shuffle %d not much smaller than full %d", r, filteredBytes, fullBytes)
 		}
 	}
 }
@@ -146,12 +155,4 @@ func TestGroupTagUniqueness(t *testing.T) {
 			}
 		}
 	}
-}
-
-func resultOutputs(results []Result) []kv.Records {
-	out := make([]kv.Records, len(results))
-	for i, r := range results {
-		out[i] = r.Output
-	}
-	return out
 }

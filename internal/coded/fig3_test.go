@@ -1,13 +1,10 @@
-package terasort
+package coded
 
 import (
-	"sync"
 	"testing"
 
 	"codedterasort/internal/kv"
 	"codedterasort/internal/partition"
-	"codedterasort/internal/transport"
-	"codedterasort/internal/transport/memnet"
 )
 
 // fig3Record builds a record whose key encodes the small integer v in its
@@ -33,8 +30,9 @@ func fig3Key(v int) []byte {
 	return k
 }
 
-// TestFig3Walkthrough replays the paper's Fig 3 exactly: K=4 nodes, key
-// domain partitions [0,25), [25,50), [50,75), [75,100], input files
+// TestFig3Walkthrough replays the paper's Fig 3 TeraSort example exactly
+// at r=1: K=4 nodes, key domain partitions [0,25), [25,50), [50,75),
+// [75,100], input files
 //
 //	node 1: 1,17,34,51,69,83    node 2: 8,23,39,52,72,87
 //	node 3: 12,28,45,53,78,90   node 4: 16,30,47,64,80,99
@@ -54,27 +52,7 @@ func TestFig3Walkthrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{K: 4, Part: part, Input: input}
-
-	mesh := memnet.NewMesh(4)
-	defer mesh.Close()
-	results := make([]Result, 4)
-	errs := make([]error, 4)
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			ep := transport.WithCollectives(mesh.Endpoint(rank), transport.BcastSequential)
-			results[rank], errs[rank] = Run(ep, cfg, nil)
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
+	results := runAll(t, Config{K: 4, R: 1, Part: part, Input: input})
 
 	want := [][]int{
 		{1, 8, 12, 16, 17, 23},
@@ -95,15 +73,5 @@ func TestFig3Walkthrough(t *testing.T) {
 				t.Fatalf("node %d position %d: value %d, want %d", rank+1, i, got, v)
 			}
 		}
-	}
-}
-
-// TestInjectedInputValidation covers the Input-mode error paths.
-func TestInjectedInputValidation(t *testing.T) {
-	mesh := memnet.NewMesh(2)
-	defer mesh.Close()
-	ep := transport.WithCollectives(mesh.Endpoint(0), transport.BcastSequential)
-	if _, err := Run(ep, Config{K: 2, Input: []kv.Records{{}}}, nil); err == nil {
-		t.Fatalf("wrong file count accepted")
 	}
 }

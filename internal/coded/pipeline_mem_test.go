@@ -1,4 +1,4 @@
-package terasort
+package coded
 
 import (
 	"runtime"
@@ -30,29 +30,9 @@ func TestPipelinedBoundsPeakMemory(t *testing.T) {
 	const k, rows = 4, 160000 // 16 MB of records cluster-wide
 
 	measure := func(chunkRows int) uint64 {
-		runtime.GC()
-		stop := make(chan struct{})
-		peakCh := make(chan uint64)
-		go func() {
-			var peak uint64
-			var m runtime.MemStats
-			for {
-				select {
-				case <-stop:
-					peakCh <- peak
-					return
-				default:
-					runtime.ReadMemStats(&m)
-					if m.HeapAlloc > peak {
-						peak = m.HeapAlloc
-					}
-					time.Sleep(200 * time.Microsecond)
-				}
-			}
-		}()
-		runAll(t, Config{K: k, Rows: rows, Seed: 77, ChunkRows: chunkRows, Window: 4})
-		close(stop)
-		return <-peakCh
+		return peakHeap(func() {
+			runAll(t, Config{K: k, R: 1, Rows: rows, Seed: 77, ChunkRows: chunkRows, Window: 4})
+		})
 	}
 
 	monolithic := measure(0)
@@ -68,4 +48,32 @@ func TestPipelinedBoundsPeakMemory(t *testing.T) {
 		t.Fatalf("pipelined peak heap %.1f MB not well below monolithic %.1f MB",
 			float64(pipelined)/1e6, float64(monolithic)/1e6)
 	}
+}
+
+// peakHeap runs fn while a sampler goroutine polls
+// runtime.MemStats.HeapAlloc, and returns the highest value seen.
+func peakHeap(fn func()) uint64 {
+	runtime.GC()
+	stop := make(chan struct{})
+	peakCh := make(chan uint64)
+	go func() {
+		var peak uint64
+		var m runtime.MemStats
+		for {
+			select {
+			case <-stop:
+				peakCh <- peak
+				return
+			default:
+				runtime.ReadMemStats(&m)
+				if m.HeapAlloc > peak {
+					peak = m.HeapAlloc
+				}
+				time.Sleep(200 * time.Microsecond)
+			}
+		}
+	}()
+	fn()
+	close(stop)
+	return <-peakCh
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // Counters is the runtime's transfer accounting, fed by the shuffle stages
-// and read by the engines after the run. The send-side fields are owned by
+// and read by the engine after the run. The send-side fields are owned by
 // the single sending goroutine; the receive side is concurrent (one
 // goroutine per inbound stream) and counts atomically.
 type Counters struct {
@@ -21,8 +21,8 @@ type Counters struct {
 	// multicast packet counted once — the paper's communication-load
 	// metric). In pipelined modes it includes the per-chunk framing.
 	SentBytes int64
-	// SentOps counts shuffle send operations (coded packets for the
-	// multicast engine).
+	// SentOps counts multicast send operations (coded packets; unicast
+	// shuffles leave it zero).
 	SentOps int64
 	// ChunksSent counts pipelined chunks shipped (zero in ModeMono).
 	ChunksSent int64
@@ -119,8 +119,8 @@ func (ctx *Context) Schedule(tokenTag transport.Tag, send func() error) error {
 // partitioning: every rank contributes its flat buffer of sampled keys
 // (kv.KeySize bytes each, any order), rank 0 pools the samples and selects
 // K-1 quantile splitters, and the encoded bounds are broadcast so every
-// rank returns identical boundaries — the Partitioner agreement the
-// engines require. Selection sorts the pooled sample, so the result does
+// rank returns identical boundaries — the Partitioner agreement every
+// rank requires. Selection sorts the pooled sample, so the result does
 // not depend on gather order, only on the sampled key multiset.
 func (ctx *Context) SampleSplitters(gatherTag, bcastTag transport.Tag, sampleKeys []byte) ([][]byte, error) {
 	payloads, err := transport.Gather(ctx.Ep, 0, gatherTag, sampleKeys)

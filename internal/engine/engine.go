@@ -1,9 +1,9 @@
-// Package engine is the stage-graph execution runtime shared by both
-// sorting engines. The paper presents TeraSort and CodedTeraSort as one
-// dataflow parameterized by the redundancy r — the stages Map, Pack/Encode,
-// Shuffle, Unpack/Decode and Reduce differ only in their codec and shuffle
-// topology — so the runtime factors everything else out of the engine
-// packages:
+// Package engine is the stage-graph execution runtime under the sort
+// engine (internal/coded). The paper presents TeraSort and CodedTeraSort as
+// one dataflow parameterized by the redundancy r — the stages Map,
+// Pack/Encode, Shuffle, Unpack/Decode and Reduce differ only in their codec
+// and shuffle topology — so the runtime factors everything else out of the
+// graph builder:
 //
 //   - A job is a declarative Graph of typed stages (Kind) with explicit
 //     data-plane edges (Stage.Needs/Provides) and mode annotations saying
@@ -19,10 +19,10 @@
 //     serial-vs-parallel sender schedule, and LIFO cleanups.
 //   - The chunk-stream protocol of the pipelined modes is provided once
 //     (ChunkRx for the receive side, CreditGate for multi-receiver credit
-//     windows) so the engines contribute only their codec callbacks.
+//     windows) so the graph builder contributes only its codec callbacks.
 //
-// The engine packages are reduced to thin graph builders: placement plans,
-// codec stages, and shuffle topology (serial unicast vs. multicast groups)
+// The builder is reduced to a thin graph: placement plans, codec stages,
+// and shuffle topology (serial unicast at r=1 vs. multicast groups at r>1)
 // are the only engine-specific code left.
 package engine
 
@@ -33,30 +33,22 @@ import (
 	"codedterasort/internal/transport"
 )
 
-// Kind types a stage. Both engines draw from the same vocabulary — the
-// paper's tables align Pack with Encode and Unpack with Decode, so a Kind
-// maps onto the shared stats.Stage axis for timing.
+// Kind types a stage. The vocabulary is the paper's stage axis — its
+// tables align Pack with Encode and Unpack with Decode, so a Kind maps onto
+// the shared stats.Stage axis for timing.
 type Kind int
 
 const (
-	// KindPlace is untimed input placement/setup (the coordinator's file
-	// distribution stands outside the measured pipeline); it is neither
-	// charged to the timeline nor followed by a barrier.
-	KindPlace Kind = iota
-	// KindCodeGen enumerates multicast groups (CodedTeraSort only).
-	KindCodeGen
+	// KindCodeGen enumerates multicast groups (coded shuffles, r > 1).
+	KindCodeGen Kind = iota
 	// KindMap hashes input records into reducer partitions.
 	KindMap
-	// KindPack serializes intermediate values (Encode for CodedTeraSort).
+	// KindPack serializes intermediate values (Encode for coded shuffles).
 	KindPack
 	// KindShuffle moves intermediate data between nodes.
 	KindShuffle
-	// KindUnpack deserializes received data (Decode for CodedTeraSort).
+	// KindUnpack deserializes received data (Decode for coded shuffles).
 	KindUnpack
-	// KindSort sorts a node's partition as its own stage. Reserved for
-	// graphs that split Reduce into Sort + Reduce; charged to the Reduce
-	// column like KindReduce.
-	KindSort
 	// KindReduce produces the node's sorted output partition.
 	KindReduce
 	// KindSample is the pre-Map splitter-agreement round of sampled
@@ -69,8 +61,6 @@ const (
 // String names the kind.
 func (k Kind) String() string {
 	switch k {
-	case KindPlace:
-		return "Place"
 	case KindCodeGen:
 		return "CodeGen"
 	case KindMap:
@@ -81,8 +71,6 @@ func (k Kind) String() string {
 		return "Shuffle"
 	case KindUnpack:
 		return "Unpack"
-	case KindSort:
-		return "Sort"
 	case KindReduce:
 		return "Reduce"
 	case KindSample:
@@ -92,8 +80,8 @@ func (k Kind) String() string {
 	}
 }
 
-// Stats returns the timeline stage the kind is charged to, and whether it
-// is timed at all (KindPlace is not).
+// Stats returns the timeline stage the kind is charged to, and whether the
+// kind is known at all.
 func (k Kind) Stats() (stats.Stage, bool) {
 	switch k {
 	case KindCodeGen, KindSample:
@@ -106,7 +94,7 @@ func (k Kind) Stats() (stats.Stage, bool) {
 		return stats.StageShuffle, true
 	case KindUnpack:
 		return stats.StageUnpack, true
-	case KindSort, KindReduce:
+	case KindReduce:
 		return stats.StageReduce, true
 	default:
 		return 0, false
@@ -121,7 +109,7 @@ type Stage struct {
 	// Modes says which execution modes include this stage. Registering
 	// several stages of the same Kind under disjoint mode sets expresses
 	// per-mode implementations declaratively — the scheduler picks the
-	// active one; the engines hold no mode switches.
+	// active one; the graph builder holds no mode switches.
 	Modes ModeSet
 	// Needs names the data-plane values this stage consumes. Each must be
 	// provided by an earlier stage of the active mode's schedule.
@@ -143,16 +131,18 @@ type Graph struct {
 
 // NewGraph returns an empty graph. name prefixes run-time errors (it is the
 // engine's package name); barrierTag supplies the engine's tag for the
-// barrier following each timed stage, keeping the two engines' control
-// traffic in their existing disjoint tag ranges.
+// barrier following each timed stage.
 func NewGraph(name string, barrierTag func(stats.Stage) transport.Tag) *Graph {
 	return &Graph{name: name, barrierTag: barrierTag}
 }
 
 // Add appends a stage and returns the graph for chaining. It panics on a
-// stage with no Run body or empty mode set — both are builder bugs, not
-// run-time conditions.
+// stage of unknown kind, with no Run body or with an empty mode set — all
+// builder bugs, not run-time conditions.
 func (g *Graph) Add(s Stage) *Graph {
+	if _, ok := s.Kind.Stats(); !ok {
+		panic(fmt.Sprintf("engine: %s stage of unknown %v", g.name, s.Kind))
+	}
 	if s.Run == nil {
 		panic(fmt.Sprintf("engine: %s stage %v has no Run body", g.name, s.Kind))
 	}
@@ -196,8 +186,7 @@ func (g *Graph) Schedule(m Mode) ([]Stage, error) {
 // data-plane edges, and no mode may schedule two stages of the same timed
 // Kind — per-mode variants of a stage must carry disjoint mode sets, and a
 // duplicate would also confuse the fault injector, which strikes the first
-// stage of a timeline column. Untimed KindPlace stages may repeat (setup
-// can be multi-part).
+// stage of a timeline column.
 func (g *Graph) Validate() error {
 	for _, s := range g.stages {
 		if s.Modes&^AllModes != 0 {
@@ -221,9 +210,6 @@ func (g *Graph) Validate() error {
 		}
 		seen := map[Kind]bool{}
 		for _, s := range sched {
-			if s.Kind == KindPlace {
-				continue
-			}
 			if seen[s.Kind] {
 				return fmt.Errorf("engine: %s schedules two %v stages in %v mode", g.name, s.Kind, m)
 			}
@@ -242,8 +228,8 @@ func (g *Graph) Validate() error {
 // carries the run's transfer counters; its spill resources are already
 // released.
 func Run(ep transport.Endpoint, g *Graph, p Policies, clock stats.Clock, hooks Hooks) (*Context, error) {
-	// Normalize defensively: the engines pre-normalize (their Configs
-	// expose the derived ChunkRows/Window), and Normalize is idempotent on
+	// Normalize defensively: the engine pre-normalizes (its Config
+	// exposes the derived ChunkRows/Window), and Normalize is idempotent on
 	// normalized policies — but a direct caller of the runtime must not be
 	// able to reach a streaming schedule with no chunk size.
 	p, err := p.Normalize(g.name, ep.Size())
@@ -259,17 +245,9 @@ func Run(ep transport.Endpoint, g *Graph, p Policies, clock stats.Clock, hooks H
 	defer ctx.cleanup()
 	faulted := map[stats.Stage]bool{}
 	for _, s := range sched {
-		st, timed := s.Kind.Stats()
-		if !timed {
-			// Setup stages (file placement) run outside the measured
-			// pipeline: no timeline charge, no barrier, errors unwrapped.
-			if err := s.Run(ctx); err != nil {
-				return ctx, err
-			}
-			continue
-		}
+		st, _ := s.Kind.Stats()
 		// Injected faults strike the first stage charged to their timeline
-		// column (KindSort and KindReduce share one column). A kill exits
+		// column (KindSample and KindCodeGen share one column). A kill exits
 		// before the body, hooks and barrier — a dead node reports nothing,
 		// so detection is the supervisor's job, not the scheduler's.
 		fault := (*Fault)(nil)

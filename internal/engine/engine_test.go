@@ -19,27 +19,27 @@ func barrierTag(s stats.Stage) transport.Tag {
 	return transport.MakeTag(0x7F, uint16(s), 0xFFFF)
 }
 
-// TestKindStats: every timed kind maps onto the shared stage axis (Sort and
-// Reduce share the Reduce column, like Pack/Encode share theirs), and the
-// placement kind is untimed.
+// TestKindStats: every kind maps onto the shared stage axis (Sample and
+// CodeGen share the CodeGen column, like Pack/Encode share theirs), and an
+// unknown kind maps nowhere.
 func TestKindStats(t *testing.T) {
 	want := map[Kind]stats.Stage{
 		KindCodeGen: stats.StageCodeGen,
+		KindSample:  stats.StageCodeGen,
 		KindMap:     stats.StageMap,
 		KindPack:    stats.StagePack,
 		KindShuffle: stats.StageShuffle,
 		KindUnpack:  stats.StageUnpack,
-		KindSort:    stats.StageReduce,
 		KindReduce:  stats.StageReduce,
 	}
 	for k, st := range want {
-		got, timed := k.Stats()
-		if !timed || got != st {
-			t.Errorf("%v: got (%v, %v), want (%v, true)", k, got, timed, st)
+		got, ok := k.Stats()
+		if !ok || got != st {
+			t.Errorf("%v: got (%v, %v), want (%v, true)", k, got, ok, st)
 		}
 	}
-	if _, timed := KindPlace.Stats(); timed {
-		t.Errorf("KindPlace must be untimed")
+	if _, ok := Kind(99).Stats(); ok {
+		t.Errorf("Kind(99) must be unknown")
 	}
 }
 
@@ -76,17 +76,17 @@ func TestPoliciesNormalize(t *testing.T) {
 			t.Errorf("%+v: error %q lacks name prefix", bad, err)
 		}
 	}
-	p, err := (Policies{MemBudget: 1 << 20, DefaultWindow: 4}).Normalize("enginetest", 4)
+	p, err := (Policies{MemBudget: 1 << 20}).Normalize("enginetest", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.ChunkRows <= 0 {
 		t.Fatalf("budget did not derive ChunkRows: %+v", p)
 	}
-	if p.Window != 4 {
+	if p.Window != DefaultWindow {
 		t.Fatalf("default window not applied: %+v", p)
 	}
-	p, err = (Policies{ChunkRows: 50, Window: 9, DefaultWindow: 4}).Normalize("enginetest", 4)
+	p, err = (Policies{ChunkRows: 50, Window: 9}).Normalize("enginetest", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +138,7 @@ func TestGraphModeFiltering(t *testing.T) {
 
 // TestRunDrivesStages: a two-rank graph runs its scheduled stages in
 // order, charges the timeline through the hooks, fires the per-stage
-// hooks, skips timing for the placement stage, and reports stage errors
-// with the engine's name prefix.
+// hooks, and reports stage errors with the engine's name prefix.
 func TestRunDrivesStages(t *testing.T) {
 	mesh := memnet.NewMesh(2)
 	defer mesh.Close()
@@ -159,7 +158,6 @@ func TestRunDrivesStages(t *testing.T) {
 			}
 		}
 		g := NewGraph("enginetest", barrierTag)
-		g.Add(Stage{Kind: KindPlace, Modes: AllModes, Run: note(KindPlace)})
 		g.Add(Stage{Kind: KindMap, Modes: AllModes, Run: note(KindMap)})
 		g.Add(Stage{Kind: KindReduce, Modes: AllModes, Run: note(KindReduce)})
 		return g
@@ -193,12 +191,12 @@ func TestRunDrivesStages(t *testing.T) {
 		t.Fatalf("rank 0 error = %v", errs[0])
 	}
 	for r := 0; r < 2; r++ {
-		want := []Kind{KindPlace, KindMap, KindReduce}
+		want := []Kind{KindMap, KindReduce}
 		if fmt.Sprint(order[r]) != fmt.Sprint(want) {
 			t.Fatalf("rank %d ran %v, want %v", r, order[r], want)
 		}
 	}
-	// Hooks observed only the timed stages, in order.
+	// Hooks observed every stage, in order.
 	if len(events[0]) != 2 || events[0][0].Stage != stats.StageMap || events[0][1].Stage != stats.StageReduce {
 		t.Fatalf("rank 0 hook events: %+v", events[0])
 	}

@@ -24,7 +24,7 @@ type StageEvent struct {
 // barrier). All instrumentation rides on these hooks: the engine's
 // timeline is charged through TimelineHooks, and the cluster runtime
 // attaches its stage log the same way — there is no inline instrumentation
-// left in the engines.
+// left in the graph builder.
 type Hooks struct {
 	// StageStart fires before a timed stage's body runs. May be nil.
 	StageStart func(rank int, s stats.Stage)

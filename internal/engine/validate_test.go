@@ -15,11 +15,9 @@ func testGraph() *Graph {
 func noop(*Context) error { return nil }
 
 // TestValidateOK: a well-formed multi-mode graph with per-mode stage
-// variants and repeated untimed setup stages validates.
+// variants validates.
 func TestValidateOK(t *testing.T) {
 	g := testGraph().
-		Add(Stage{Kind: KindPlace, Modes: AllModes, Run: noop}).
-		Add(Stage{Kind: KindPlace, Modes: AllModes, Run: noop}).
 		Add(Stage{Kind: KindMap, Modes: AllModes, Provides: []string{"parts"}, Run: noop}).
 		Add(Stage{Kind: KindShuffle, Modes: In(ModeMono), Needs: []string{"parts"}, Provides: []string{"recv"}, Run: noop}).
 		Add(Stage{Kind: KindShuffle, Modes: In(ModeChunked, ModeSpill), Needs: []string{"parts"}, Provides: []string{"recv"}, Run: noop}).
@@ -67,7 +65,7 @@ func TestValidateModeScopedNeed(t *testing.T) {
 }
 
 // TestValidateDuplicateKind: two stages of one timed Kind in the same
-// mode's schedule are rejected; untimed KindPlace repetition is allowed.
+// mode's schedule are rejected.
 func TestValidateDuplicateKind(t *testing.T) {
 	g := testGraph().
 		Add(Stage{Kind: KindMap, Modes: AllModes, Run: noop}).
@@ -102,8 +100,8 @@ func TestScheduleEmptyMode(t *testing.T) {
 	}
 }
 
-// TestAddPanics: a stage with no body or an empty mode set is a builder
-// bug, rejected at Add time.
+// TestAddPanics: a stage of unknown kind, with no body or with an empty
+// mode set is a builder bug, rejected at Add time.
 func TestAddPanics(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
@@ -116,26 +114,21 @@ func TestAddPanics(t *testing.T) {
 	}
 	mustPanic("no Run", func() { testGraph().Add(Stage{Kind: KindMap, Modes: AllModes}) })
 	mustPanic("no Modes", func() { testGraph().Add(Stage{Kind: KindMap, Run: noop}) })
+	mustPanic("unknown Kind", func() { testGraph().Add(Stage{Kind: Kind(99), Modes: AllModes, Run: noop}) })
 }
 
 // TestKindStrings pins the diagnostic names of every stage kind and the
 // out-of-range fallback.
 func TestKindStrings(t *testing.T) {
 	want := map[Kind]string{
-		KindPlace: "Place", KindCodeGen: "CodeGen", KindMap: "Map",
-		KindPack: "Pack", KindShuffle: "Shuffle", KindUnpack: "Unpack",
-		KindSort: "Sort", KindReduce: "Reduce", Kind(99): "Kind(99)",
+		KindCodeGen: "CodeGen", KindMap: "Map", KindPack: "Pack",
+		KindShuffle: "Shuffle", KindUnpack: "Unpack", KindReduce: "Reduce",
+		KindSample: "Sample", Kind(99): "Kind(99)",
 	}
 	for k, s := range want {
 		if k.String() != s {
 			t.Errorf("Kind(%d).String() = %q, want %q", int(k), k.String(), s)
 		}
-	}
-	if st, timed := KindSort.Stats(); st != stats.StageReduce || !timed {
-		t.Errorf("KindSort.Stats() = %v, %v", st, timed)
-	}
-	if _, timed := KindPlace.Stats(); timed {
-		t.Error("KindPlace is timed")
 	}
 }
 

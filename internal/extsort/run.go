@@ -1,7 +1,7 @@
 // Package extsort implements the out-of-core external sorting subsystem:
 // sorted-run generation under a byte budget, a framed on-disk block format
 // for spill files, and a k-way loser-tree merge that streams the merged
-// order without rematerializing it. It is what lets both engines handle the
+// order without rematerializing it. It is what lets the engine handle the
 // one scenario a production TeraSort exists for — datasets that dwarf the
 // memory of any single node — while the coded shuffle above it stays
 // unchanged (the run-generation + merge structure follows the external

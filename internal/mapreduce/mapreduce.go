@@ -1,28 +1,27 @@
-// Package mapreduce promotes the sorting engines' coded shuffle into a
+// Package mapreduce promotes the sort engine's coded shuffle into a
 // general coded-MapReduce framework — the paper's "Beyond Sorting
 // Algorithms" direction (Section VI) made first-class, following the Coded
 // MapReduce / Fundamental-Tradeoff scheme for arbitrary map and reduce
 // functions with tunable replication r.
 //
 // A Job pairs a user Mapper and Reducer with the shared runtime knobs and
-// compiles onto the stage-graph runtime in either of two forms:
+// compiles onto the sort engine (internal/coded) at r = max(R, 1):
 //
-//   - uncoded (R <= 1): the terasort graph — one input split per node,
-//     serial-unicast shuffle;
-//   - coded (R >= 2): the coded graph — every split mapped on R nodes,
-//     coded multicast shuffle moving ~1/R of the uncoded load.
+//   - uncoded (R <= 1): one input split per node, serial-unicast shuffle;
+//   - coded (R >= 2): every split mapped on R nodes, coded multicast
+//     shuffle moving ~1/R of the uncoded load.
 //
-// Either way the job inherits the engines' machinery for free: the chunked
+// Either way the job inherits the engine's machinery for free: the chunked
 // streaming shuffle (ChunkRows/Window), out-of-core spilling (MemBudget),
 // the multicore worker kernels (Parallelism), per-stage hooks, and the
-// fault-injection/recovery model. The map function runs inside the engines'
+// fault-injection/recovery model. The map function runs inside the engine's
 // Map stage through the Transform hook; the shuffled intermediate records
-// are sorted by the engines' Reduce stage, and the framework's group-reduce
+// are sorted by the engine's Reduce stage, and the framework's group-reduce
 // driver consumes the sorted stream through OutputSink, invoking the
 // Reducer once per key group.
 //
 // Determinism contract: for a fixed Job, the reduced output of every rank
-// is byte-identical across the uncoded and coded engines, every execution
+// is byte-identical across uncoded and coded runs, every execution
 // mode (monolithic, chunked, out-of-core), any Parallelism setting, and
 // recovered re-executions — the property the mrtest harness gates for
 // every registered kernel. The framework guarantees it by canonicalizing
@@ -39,7 +38,6 @@ import (
 	"codedterasort/internal/partition"
 	"codedterasort/internal/placement"
 	"codedterasort/internal/stats"
-	"codedterasort/internal/terasort"
 	"codedterasort/internal/transport"
 )
 
@@ -97,9 +95,9 @@ type Job struct {
 	Reducer Reducer
 	// K is the number of worker nodes.
 	K int
-	// R is the map replication factor: R >= 2 compiles the job onto the
-	// coded engine (every input split mapped on R nodes, coded multicast
-	// shuffle); R <= 1 compiles onto the uncoded engine.
+	// R is the map replication factor: R >= 2 runs the job coded (every
+	// input split mapped on R nodes, coded multicast shuffle); R <= 1 runs
+	// it uncoded, at r = 1.
 	R int
 	// Input, when non-empty, is the job's input dataset. The framework
 	// splits it by rows into the engine's input files: K contiguous splits
@@ -155,8 +153,9 @@ type Job struct {
 	Faults engine.Faults
 }
 
-// coded reports whether the job compiles onto the coded engine.
-func (j Job) coded() bool { return j.R >= 2 }
+// redundancy returns the r the engine runs at: R, with R <= 1 meaning the
+// uncoded r = 1 point.
+func (j Job) redundancy() int { return max(j.R, 1) }
 
 // normalize validates the job and fills defaults.
 func (j Job) normalize() (Job, error) {
@@ -217,11 +216,7 @@ func (j Job) engineInput() ([]kv.Records, error) {
 	if j.Input.Len() == 0 {
 		return nil, nil
 	}
-	r := j.R
-	if !j.coded() {
-		r = 1
-	}
-	plan, err := placement.Redundant(j.K, r, j.Rows)
+	plan, err := placement.Redundant(j.K, j.redundancy(), j.Rows)
 	if err != nil {
 		return nil, err
 	}
@@ -274,32 +269,8 @@ func Run(ep transport.Endpoint, job Job, tl *stats.Timeline) (Result, error) {
 		return Result{}, err
 	}
 	g := newGrouper(job.Reducer)
-	if job.coded() {
-		res, err := coded.Run(ep, coded.Config{
-			K: job.K, R: job.R, Rows: job.Rows, Seed: job.Seed, Dist: job.Dist,
-			Part: job.Part, Strategy: job.Strategy, Input: input,
-			Partitioning: job.Partitioning, SampleSize: job.SampleSize,
-			Parallel: job.Parallel, Transform: job.transform(),
-			ChunkRows: job.ChunkRows, Window: job.Window,
-			MemBudget: job.MemBudget, SpillDir: job.SpillDir,
-			OutputSink:  g.Feed,
-			Parallelism: job.Parallelism,
-			Hooks:       job.Hooks, Faults: job.Faults,
-		}, tl)
-		if err != nil {
-			return Result{}, err
-		}
-		return g.finish(Result{
-			ShuffleBytes:   res.MulticastBytes,
-			MulticastOps:   res.MulticastOps,
-			ChunksSent:     res.ChunksSent,
-			ChunksReceived: res.ChunksReceived,
-			SpilledRuns:    res.SpilledRuns,
-			Times:          res.Times,
-		}), nil
-	}
-	res, err := terasort.Run(ep, terasort.Config{
-		K: job.K, Rows: job.Rows, Seed: job.Seed, Dist: job.Dist,
+	res, err := coded.Run(ep, coded.Config{
+		K: job.K, R: job.redundancy(), Rows: job.Rows, Seed: job.Seed, Dist: job.Dist,
 		Part: job.Part, Input: input,
 		Partitioning: job.Partitioning, SampleSize: job.SampleSize,
 		Parallel: job.Parallel, Transform: job.transform(),
@@ -314,6 +285,7 @@ func Run(ep transport.Endpoint, job Job, tl *stats.Timeline) (Result, error) {
 	}
 	return g.finish(Result{
 		ShuffleBytes:   res.ShuffleBytes,
+		MulticastOps:   res.MulticastOps,
 		ChunksSent:     res.ChunksSent,
 		ChunksReceived: res.ChunksReceived,
 		SpilledRuns:    res.SpilledRuns,

@@ -96,9 +96,9 @@ type Report struct {
 // engines. Per-partition record counts use the uniform-hashing expectation
 // fileRows/K; at the paper's scale (hundreds of thousands of records per
 // file) the multinomial fluctuation around that expectation is below one
-// percent, far inside the cost model's own tolerance. The live engines in
-// internal/terasort and internal/coded validate the byte-level protocol on
-// real data; this simulator extrapolates its timing to EC2 scale.
+// percent, far inside the cost model's own tolerance. The live engine in
+// internal/coded validates the byte-level protocol on real data at every
+// r; this simulator extrapolates its timing to EC2 scale.
 func Simulate(w Workload, cm CostModel) (stats.Breakdown, Report, error) {
 	w, err := w.normalize()
 	if err != nil {

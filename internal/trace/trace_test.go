@@ -10,7 +10,6 @@ import (
 	"codedterasort/internal/coded"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/stats"
-	"codedterasort/internal/terasort"
 	"codedterasort/internal/transport"
 	"codedterasort/internal/transport/memnet"
 )
@@ -95,8 +94,8 @@ func TestFig9aSerialScheduleObserved(t *testing.T) {
 		go func(rank int) {
 			defer wg.Done()
 			ep := transport.WithCollectives(recorders[rank], transport.BcastSequential)
-			cfg := terasort.Config{K: k, Rows: 2000, Seed: 3}
-			if _, err := terasort.Run(ep, cfg, nil); err != nil {
+			cfg := coded.Config{K: k, R: 1, Rows: 2000, Seed: 3}
+			if _, err := coded.Run(ep, cfg, nil); err != nil {
 				t.Error(err)
 			}
 		}(rank)
