@@ -58,8 +58,9 @@ race:
 
 # Short fuzz smoke over the wire- and disk-facing surfaces (chunk framing,
 # packed IVs, coded packets, spill-file blocks) plus the resolvable-design
-# generator, whose invariants every large-K shuffle depends on, and the
-# four-lane checksum kernel every verification digest goes through. One shell
+# generator, whose invariants every large-K shuffle depends on, the
+# four-lane checksum kernel every verification digest goes through, and the
+# relay multicast every coded packet crosses (any group, root, payload). One shell
 # with set -e so the first failing fuzz target fails the whole recipe fast
 # — no later invocation can mask it. CI-friendly: seconds, not hours.
 fuzz:
@@ -73,6 +74,7 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzDesign -fuzztime=5s ./internal/placement/resolvable/
 	$(GO) test -run=Fuzz -fuzz=FuzzSplitters -fuzztime=5s ./internal/partition/
 	$(GO) test -run=Fuzz -fuzz=FuzzChecksum -fuzztime=5s ./internal/kv/
+	$(GO) test -run=Fuzz -fuzz=FuzzBcast -fuzztime=5s ./internal/transport/
 
 # Large-K smoke: the K=64 resolvable sort over multiplexed logical ranks,
 # checksum-tied to the uncoded oracle. Also runs (race-enabled) inside the

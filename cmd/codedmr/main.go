@@ -23,7 +23,6 @@ import (
 	"codedterasort/internal/kv"
 	"codedterasort/internal/mapreduce"
 	"codedterasort/internal/stats"
-	"codedterasort/internal/transport"
 )
 
 func main() {
@@ -124,9 +123,6 @@ func buildJob(kern mapreduce.Kernel, j *flags.Job) mapreduce.Job {
 	job := kern.Job(j.K, j.R, j.Rows, j.Seed)
 	if j.Skewed {
 		job.Dist = kv.DistSkewed
-	}
-	if j.Tree {
-		job.Strategy = transport.BcastBinomialTree
 	}
 	job.ChunkRows, job.Window = j.Chunk, j.Window
 	job.MemBudget, job.SpillDir = j.MemBudget, j.SpillDir

@@ -28,7 +28,6 @@ type Job struct {
 	Dist          string
 	Partition     string
 	Samples       int
-	Tree          bool
 	Rate          float64
 	PerMsg        time.Duration
 	Chunk         int
@@ -68,12 +67,11 @@ func (j *Job) RegisterCommon(fs *flag.FlagSet, defaultK int) {
 }
 
 // RegisterCoded binds the CodedTeraSort-only flags: the redundancy
-// parameter, the placement/coding strategy and the multicast strategy.
+// parameter and the placement/coding strategy.
 func (j *Job) RegisterCoded(fs *flag.FlagSet, defaultR int) {
 	fs.IntVar(&j.R, "r", defaultR, "redundancy parameter (each file mapped on r nodes)")
 	fs.StringVar(&j.Strategy, "strategy", "",
 		"placement/coding strategy: clique (the paper's scheme, default) or resolvable (q^(r-1) subfiles and far fewer groups at large K; needs K divisible by r)")
-	fs.BoolVar(&j.Tree, "tree", false, "binomial-tree multicast instead of serial")
 }
 
 // RegisterFaults binds the straggler/failure-resilience flags: the
@@ -110,7 +108,7 @@ func (j *Job) Spec(alg cluster.Algorithm) cluster.Spec {
 		K:         j.K, R: j.R, Placement: j.Strategy,
 		Rows: j.Rows, Seed: j.Seed, Skewed: j.Skewed,
 		DistName: j.Dist, Partitioning: j.Partition, SampleSize: j.Samples,
-		TreeMulticast: j.Tree, RateMbps: j.Rate, PerMessage: j.PerMsg,
+		RateMbps: j.Rate, PerMessage: j.PerMsg,
 		ChunkRows: j.Chunk, Window: j.Window,
 		MemBudget: j.MemBudget, SpillDir: j.SpillDir, InputDir: j.InDir,
 		Parallelism:   j.Procs,
@@ -121,7 +119,7 @@ func (j *Job) Spec(alg cluster.Algorithm) cluster.Spec {
 		spec.StragglerRank = j.StragglerRank
 	}
 	if alg == cluster.AlgTeraSort {
-		spec.R, spec.Placement, spec.TreeMulticast = 0, "", false
+		spec.R, spec.Placement = 0, ""
 	}
 	return spec
 }

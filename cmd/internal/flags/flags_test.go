@@ -2,6 +2,7 @@ package flags
 
 import (
 	"flag"
+	"io"
 	"testing"
 	"time"
 
@@ -19,7 +20,7 @@ func TestRegisterAndSpec(t *testing.T) {
 	j.RegisterInDir(fs)
 	err := fs.Parse([]string{
 		"-k", "6", "-r", "2", "-rows", "1234", "-seed", "99", "-skewed",
-		"-tree", "-rate", "100", "-permsg", "5ms", "-chunk", "500",
+		"-strategy", "resolvable", "-rate", "100", "-permsg", "5ms", "-chunk", "500",
 		"-window", "8", "-membudget", "65536", "-spilldir", "/tmp/x",
 		"-indir", "/tmp/in", "-procs", "4",
 	})
@@ -29,7 +30,7 @@ func TestRegisterAndSpec(t *testing.T) {
 
 	coded := j.Spec(cluster.AlgCoded)
 	if coded.K != 6 || coded.R != 2 || coded.Rows != 1234 || coded.Seed != 99 ||
-		!coded.Skewed || !coded.TreeMulticast || coded.RateMbps != 100 ||
+		!coded.Skewed || coded.Placement != "resolvable" || coded.RateMbps != 100 ||
 		coded.PerMessage != 5*time.Millisecond || coded.ChunkRows != 500 ||
 		coded.Window != 8 || coded.MemBudget != 65536 || coded.SpillDir != "/tmp/x" ||
 		coded.Parallelism != 4 {
@@ -47,7 +48,7 @@ func TestRegisterAndSpec(t *testing.T) {
 	}
 
 	tera := j.Spec(cluster.AlgTeraSort)
-	if tera.R != 0 || tera.TreeMulticast {
+	if tera.R != 0 || tera.Placement != "" {
 		t.Fatalf("terasort spec kept coded-only knobs: %+v", tera)
 	}
 	if tera.InputDir != "/tmp/in" {
@@ -55,6 +56,19 @@ func TestRegisterAndSpec(t *testing.T) {
 	}
 	if err := tera.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNoMulticastFlag: the multicast has one algorithm, so the former
+// -tree selector is an unknown flag.
+func TestNoMulticastFlag(t *testing.T) {
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	var j Job
+	j.RegisterCommon(fs, 8)
+	j.RegisterCoded(fs, 3)
+	if err := fs.Parse([]string{"-tree"}); err == nil {
+		t.Fatal("-tree accepted")
 	}
 }
 

@@ -22,7 +22,11 @@
 // machine, byte-identical to the uncoded oracle (DESIGN.md section 15).
 // There is one sort engine, internal/coded: TeraSort is CodedTeraSort at
 // r = 1, the same graph with a serial-unicast shuffle where r > 1 runs
-// CodeGen and the coded multicast. It is a thin stage-graph builder over
+// CodeGen and the coded multicast. The multicast is a relay
+// (transport.RelayBcast): the root sends each receiver one slice of the
+// packet and the receivers exchange slices, so the root's link carries a
+// packet once — the paper's multicast load — and a rate-shaped coded
+// shuffle runs at the coded load instead of r unicasts. It is a thin stage-graph builder over
 // internal/engine, the execution runtime: a job is a declarative DAG of
 // typed stages (Sample, CodeGen, Map, Pack/Encode, Shuffle, Unpack/Decode,
 // Reduce) with explicit data-plane edges, and one scheduler runs the

@@ -52,8 +52,9 @@ type WorkerReport struct {
 	MergeOVCDecided   int64
 	MergeFullCompares int64
 	// WireBytes counts bytes that actually crossed the transport,
-	// including the per-receiver copies of application-layer multicast
-	// and control traffic (tokens, barriers, handshakes).
+	// including the relayed slices of application-layer multicast (r
+	// copies of each packet's bytes across the group) and control traffic
+	// (tokens, barriers, handshakes).
 	WireBytes int64
 	// SplitterBounds is the splitter set this worker partitioned by when
 	// the job ran under sampled partitioning (nil under uniform). Every
@@ -315,7 +316,7 @@ func runAttempt(ctx context.Context, spec Spec, opts Options, consumed map[int]b
 				conn = netem.Limit(conn, opts)
 			}
 			meter := transport.NewMeter(conn)
-			ep := transport.WithCollectives(meter, spec.Strategy())
+			ep := transport.WithCollectives(meter)
 			var sink func(kv.Records) error
 			if streaming {
 				sink = checkers[rank].Feed

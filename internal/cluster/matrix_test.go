@@ -7,8 +7,7 @@ import (
 
 // TestEngineMatrix runs a grid of configurations through the in-process
 // engine and asserts that every combination validates and that, for a
-// fixed input, every CodedTeraSort variant (r, multicast strategy,
-// schedule) produces the identical per-rank partitions as TeraSort.
+// fixed input, every CodedTeraSort variant (r, schedule) produces the identical per-rank partitions as TeraSort.
 func TestEngineMatrix(t *testing.T) {
 	const k, rows, seed = 5, 2500, 77
 	reference, err := RunLocal(Spec{Algorithm: AlgTeraSort, K: k, Rows: rows, Seed: seed})
@@ -17,27 +16,25 @@ func TestEngineMatrix(t *testing.T) {
 	}
 
 	for _, r := range []int{1, 2, 3, 4} {
-		for _, tree := range []bool{false, true} {
-			for _, parallel := range []bool{false, true} {
-				name := fmt.Sprintf("r=%d/tree=%v/parallel=%v", r, tree, parallel)
-				t.Run(name, func(t *testing.T) {
-					job, err := RunLocal(Spec{
-						Algorithm: AlgCoded, K: k, R: r, Rows: rows, Seed: seed,
-						TreeMulticast: tree, ParallelShuffle: parallel,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !job.Validated {
-						t.Fatalf("not validated")
-					}
-					for rank := 0; rank < k; rank++ {
-						if job.Workers[rank].OutputChecksum != reference.Workers[rank].OutputChecksum {
-							t.Fatalf("rank %d differs from TeraSort reference", rank)
-						}
-					}
+		for _, parallel := range []bool{false, true} {
+			name := fmt.Sprintf("r=%d/parallel=%v", r, parallel)
+			t.Run(name, func(t *testing.T) {
+				job, err := RunLocal(Spec{
+					Algorithm: AlgCoded, K: k, R: r, Rows: rows, Seed: seed,
+					ParallelShuffle: parallel,
 				})
-			}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !job.Validated {
+					t.Fatalf("not validated")
+				}
+				for rank := 0; rank < k; rank++ {
+					if job.Workers[rank].OutputChecksum != reference.Workers[rank].OutputChecksum {
+						t.Fatalf("rank %d differs from TeraSort reference", rank)
+					}
+				}
+			})
 		}
 	}
 }
@@ -103,9 +100,8 @@ func TestPipelinedEngineMatrix(t *testing.T) {
 }
 
 // TestPipelinedScheduleMatrix covers the riskiest pipelined concurrency:
-// all senders streaming concurrently (ParallelShuffle) and per-chunk
-// binomial-tree multicast (TreeMulticast), alone and combined, against
-// the unchunked reference. This is what puts the concurrent credit-window
+// all senders streaming concurrently (ParallelShuffle) with per-chunk
+// relay multicast, against the unchunked reference. This is what puts the concurrent credit-window
 // protocol under the race detector in the standard gate.
 func TestPipelinedScheduleMatrix(t *testing.T) {
 	const k, rows, seed = 5, 2000, 83
@@ -114,35 +110,29 @@ func TestPipelinedScheduleMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, parallel := range []bool{false, true} {
-		for _, tree := range []bool{false, true} {
-			for _, chunkRows := range []int{33, 512} {
-				specs := []Spec{
-					{Algorithm: AlgTeraSort, K: k, Rows: rows, Seed: seed,
-						ParallelShuffle: parallel, ChunkRows: chunkRows, Window: 2},
-					{Algorithm: AlgCoded, K: k, R: 2, Rows: rows, Seed: seed,
-						ParallelShuffle: parallel, TreeMulticast: tree,
-						ChunkRows: chunkRows, Window: 2},
-				}
-				if tree {
-					specs = specs[1:] // tree multicast is a coded-only knob
-				}
-				for _, spec := range specs {
-					t.Run(fmt.Sprintf("%s/parallel=%v/tree=%v/chunk=%d",
-						spec.Algorithm, parallel, tree, chunkRows), func(t *testing.T) {
-						job, err := RunLocal(spec)
-						if err != nil {
-							t.Fatal(err)
+		for _, chunkRows := range []int{33, 512} {
+			specs := []Spec{
+				{Algorithm: AlgTeraSort, K: k, Rows: rows, Seed: seed,
+					ParallelShuffle: parallel, ChunkRows: chunkRows, Window: 2},
+				{Algorithm: AlgCoded, K: k, R: 2, Rows: rows, Seed: seed,
+					ParallelShuffle: parallel, ChunkRows: chunkRows, Window: 2},
+			}
+			for _, spec := range specs {
+				t.Run(fmt.Sprintf("%s/parallel=%v/chunk=%d",
+					spec.Algorithm, parallel, chunkRows), func(t *testing.T) {
+					job, err := RunLocal(spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !job.Validated {
+						t.Fatalf("not validated")
+					}
+					for rank := 0; rank < k; rank++ {
+						if job.Workers[rank].OutputChecksum != ref.Workers[rank].OutputChecksum {
+							t.Fatalf("rank %d differs from unchunked reference", rank)
 						}
-						if !job.Validated {
-							t.Fatalf("not validated")
-						}
-						for rank := 0; rank < k; rank++ {
-							if job.Workers[rank].OutputChecksum != ref.Workers[rank].OutputChecksum {
-								t.Fatalf("rank %d differs from unchunked reference", rank)
-							}
-						}
-					})
-				}
+					}
+				})
 			}
 		}
 	}

@@ -22,7 +22,6 @@ import (
 	"codedterasort/internal/partition"
 	"codedterasort/internal/placement"
 	"codedterasort/internal/stats"
-	"codedterasort/internal/transport"
 )
 
 // Algorithm selects which sorting algorithm a job runs. Both run on the
@@ -77,9 +76,6 @@ type Spec struct {
 	// the in-graph sampling round; empty leaves the round to the engines.
 	// Requires Partitioning "sample".
 	Splitters [][]byte `json:"splitters,omitempty"`
-	// TreeMulticast selects binomial-tree multicast instead of the
-	// paper's serial per-receiver multicast.
-	TreeMulticast bool `json:"tree_multicast,omitempty"`
 	// RateMbps, when positive, rate-limits every worker's egress — the
 	// paper's 100 Mbps tc configuration.
 	RateMbps float64 `json:"rate_mbps,omitempty"`
@@ -422,14 +418,6 @@ func (s Spec) PlacementKind() placement.Kind {
 		return placement.KindClique
 	}
 	return kind
-}
-
-// Strategy returns the multicast strategy of the spec.
-func (s Spec) Strategy() transport.BcastStrategy {
-	if s.TreeMulticast {
-		return transport.BcastBinomialTree
-	}
-	return transport.BcastSequential
 }
 
 // Marshal encodes the spec for the wire.

@@ -12,7 +12,9 @@
 //     intermediate values (I^k_S and {I^i_S : i not in S}, Fig 5).
 //  3. Encode — build one coded packet E_{M,k} per group (Algorithm 1).
 //  4. Multicast Shuffling — serial multicast, one sender at a time, each
-//     packet broadcast to the r other members of its group (Fig 9b).
+//     packet broadcast to the r other members of its group (Fig 9b) by
+//     the relay multicast: the sender scatters one slice per receiver and
+//     the receivers exchange slices (transport.RelayBcast).
 //  5. Decode — cancel known segments from received packets to recover the
 //     needed intermediate values (Algorithm 2).
 //  6. Reduce — locally sort partition k.
@@ -759,7 +761,8 @@ func (w *worker) encodeStage(ctx *engine.Context) error {
 // multicastStage runs the serial multicast schedule of Fig 9(b): one
 // sender at a time (rank order), each broadcasting its coded packets to
 // its groups one after another. Receives run concurrently so the single
-// active sender streams without blocking.
+// active sender streams without blocking; the receive side also relays
+// this node's slice of each inbound packet to the other receivers.
 func (w *worker) multicastStage(ctx *engine.Context) error {
 	w.received = make([]map[int][]byte, len(w.myGroups))
 	for i := range w.received {

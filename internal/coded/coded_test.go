@@ -18,11 +18,10 @@ import (
 	"codedterasort/internal/verify"
 )
 
-// run executes a full job over an in-memory mesh whose collectives use the
-// given multicast strategy. perRank, when non-nil, adjusts each rank's copy
+// run executes a full job over an in-memory mesh. perRank, when non-nil, adjusts each rank's copy
 // of the config (budget tests install per-rank output sinks, which must not
 // be shared).
-func run(t *testing.T, cfg Config, strategy transport.BcastStrategy, perRank func(rank int, c *Config)) []Result {
+func run(t *testing.T, cfg Config, perRank func(rank int, c *Config)) []Result {
 	t.Helper()
 	mesh := memnet.NewMesh(cfg.K)
 	defer mesh.Close()
@@ -37,7 +36,7 @@ func run(t *testing.T, cfg Config, strategy transport.BcastStrategy, perRank fun
 			if perRank != nil {
 				perRank(rank, &c)
 			}
-			ep := transport.WithCollectives(mesh.Endpoint(rank), strategy)
+			ep := transport.WithCollectives(mesh.Endpoint(rank))
 			results[rank], errs[rank] = Run(ep, c, nil)
 		}(r)
 	}
@@ -53,7 +52,7 @@ func run(t *testing.T, cfg Config, strategy transport.BcastStrategy, perRank fun
 // runAll is run with serial multicast and one shared config.
 func runAll(t *testing.T, cfg Config) []Result {
 	t.Helper()
-	return run(t, cfg, transport.BcastSequential, nil)
+	return run(t, cfg, nil)
 }
 
 func outputs(results []Result) []kv.Records {
@@ -162,14 +161,12 @@ func TestAllRedundancyLevels(t *testing.T) {
 	}
 }
 
-func TestBothMulticastStrategies(t *testing.T) {
-	for _, s := range []transport.BcastStrategy{transport.BcastSequential, transport.BcastBinomialTree} {
-		cfg := Config{K: 6, R: 3, Rows: 3000, Seed: 99}
-		results := run(t, cfg, s, nil)
-		in := verify.DescribeGenerated(kv.NewGenerator(99, kv.DistUniform), cfg.Rows)
-		if err := verify.SortedOutput(outputs(results), partition.NewUniform(6), in); err != nil {
-			t.Fatalf("strategy %v: %v", s, err)
-		}
+func TestRelayMulticastVerifies(t *testing.T) {
+	cfg := Config{K: 6, R: 3, Rows: 3000, Seed: 99}
+	results := run(t, cfg, nil)
+	in := verify.DescribeGenerated(kv.NewGenerator(99, kv.DistUniform), cfg.Rows)
+	if err := verify.SortedOutput(outputs(results), partition.NewUniform(6), in); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -351,7 +348,7 @@ func TestStageTimesPopulated(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	mesh := memnet.NewMesh(2)
 	defer mesh.Close()
-	ep := transport.WithCollectives(mesh.Endpoint(0), transport.BcastSequential)
+	ep := transport.WithCollectives(mesh.Endpoint(0))
 	bad := []Config{
 		{K: 0, R: 1},
 		{K: 2, R: 0},
@@ -380,7 +377,7 @@ func TestTransportFailureSurfaces(t *testing.T) {
 		var wg sync.WaitGroup
 		go func() {
 			conn := netem.Fail(mesh.Endpoint(0), c.failAfter, transport.ErrClosed)
-			ep := transport.WithCollectives(conn, transport.BcastSequential)
+			ep := transport.WithCollectives(conn)
 			_, err := Run(ep, cfg, nil)
 			rank0Err <- err
 		}()
@@ -388,7 +385,7 @@ func TestTransportFailureSurfaces(t *testing.T) {
 			wg.Add(1)
 			go func(rank int) {
 				defer wg.Done()
-				ep := transport.WithCollectives(mesh.Endpoint(rank), transport.BcastSequential)
+				ep := transport.WithCollectives(mesh.Endpoint(rank))
 				// Errors here are expected: the cluster is going down.
 				_, _ = Run(ep, cfg, nil)
 			}(r)
@@ -430,7 +427,7 @@ func BenchmarkRunK4(b *testing.B) {
 					wg.Add(1)
 					go func(rank int) {
 						defer wg.Done()
-						ep := transport.WithCollectives(mesh.Endpoint(rank), transport.BcastSequential)
+						ep := transport.WithCollectives(mesh.Endpoint(rank))
 						if _, err := Run(ep, cfg, nil); err != nil {
 							b.Error(err)
 						}

@@ -38,7 +38,7 @@ func TestInjectedInputMatchesGenerated(t *testing.T) {
 func TestInjectedInputValidation(t *testing.T) {
 	mesh := memnet.NewMesh(2)
 	defer mesh.Close()
-	ep := transport.WithCollectives(mesh.Endpoint(0), transport.BcastSequential)
+	ep := transport.WithCollectives(mesh.Endpoint(0))
 	if _, err := Run(ep, Config{K: 2, R: 2, Input: []kv.Records{{}, {}}}, nil); err == nil {
 		t.Fatalf("wrong input file count accepted (want C(2,2)=1, gave 2)")
 	}
@@ -67,14 +67,14 @@ func TestParallelShuffleMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestParallelWithTreeMulticast(t *testing.T) {
+func TestParallelWithRelayMulticast(t *testing.T) {
 	cfg := Config{K: 6, R: 3, Rows: 3000, Seed: 33, Parallel: true}
-	results := run(t, cfg, transport.BcastBinomialTree, nil)
+	results := run(t, cfg, nil)
 	all := kv.Concat(outputs(results)...)
 	want := kv.NewGenerator(33, kv.DistUniform).Generate(0, 3000)
 	want.Sort()
 	if !all.Equal(want) {
-		t.Fatalf("parallel tree multicast output wrong")
+		t.Fatalf("parallel relay multicast output wrong")
 	}
 }
 

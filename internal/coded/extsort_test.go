@@ -11,7 +11,6 @@ import (
 	"codedterasort/internal/extsort"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/partition"
-	"codedterasort/internal/transport"
 	"codedterasort/internal/verify"
 )
 
@@ -90,7 +89,7 @@ func TestBudgetStreamsToSink(t *testing.T) {
 		var mu sync.Mutex
 		streamed := make([]kv.Records, k)
 		cfg := Config{K: k, R: c.r, Rows: rows, Seed: c.seed, MemBudget: c.budget, SpillDir: t.TempDir()}
-		results := run(t, cfg, transport.BcastSequential, func(rank int, c *Config) {
+		results := run(t, cfg, func(rank int, c *Config) {
 			c.OutputSink = func(block kv.Records) error {
 				mu.Lock()
 				defer mu.Unlock()
@@ -119,25 +118,23 @@ func TestBudgetStreamsToSink(t *testing.T) {
 
 // TestBudgetWithFilter: the budget path composes with the Map filter —
 // under the skewed distribution at r=1 (uneven partition sizes stress the
-// empty-stream and tiny-run paths) and with binomial-tree multicast at
-// r=3.
+// empty-stream and tiny-run paths) and with the relay multicast at r=3.
 func TestBudgetWithFilter(t *testing.T) {
 	for _, c := range []struct {
 		k, r, rows int
 		seed       uint64
 		dist       kv.Distribution
 		mod        byte
-		strategy   transport.BcastStrategy
 	}{
-		{5, 1, 5000, 37, kv.DistSkewed, 3, transport.BcastSequential},
-		{4, 3, 3000, 67, kv.DistUniform, 2, transport.BcastBinomialTree},
+		{5, 1, 5000, 37, kv.DistSkewed, 3},
+		{4, 3, 3000, 67, kv.DistUniform, 2},
 	} {
 		match := func(rec []byte) bool { return rec[kv.KeySize+8]%c.mod == 0 }
 		base := Config{K: c.k, R: c.r, Rows: int64(c.rows), Seed: c.seed, Dist: c.dist, Filter: match}
-		ref := run(t, base, c.strategy, nil)
+		ref := run(t, base, nil)
 		cfg := base
 		cfg.MemBudget, cfg.SpillDir = 8*1024, t.TempDir()
-		results := run(t, cfg, c.strategy, nil)
+		results := run(t, cfg, nil)
 		for rank := range results {
 			if !results[rank].Output.Equal(ref[rank].Output) {
 				t.Fatalf("r=%d rank %d: filtered budget output differs", c.r, rank)
@@ -275,7 +272,7 @@ func TestBudgetBoundsPeakMemory(t *testing.T) {
 	checkers := make([]*verify.PartitionChecker, k)
 	var results []Result
 	peak := peakHeap(func() {
-		results = run(t, cfg, transport.BcastSequential, func(rank int, c *Config) {
+		results = run(t, cfg, func(rank int, c *Config) {
 			checkers[rank] = verify.NewPartitionChecker(p, rank)
 			c.OutputSink = checkers[rank].Feed
 		})

@@ -6,47 +6,41 @@ import (
 	"codedterasort/internal/engine"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/partition"
-	"codedterasort/internal/transport"
 	"codedterasort/internal/verify"
 )
 
 // TestPipelinedMatchesMonolithic: the chunked streaming shuffle must
 // produce exactly the per-rank partitions of the stage-by-stage engine
 // across redundancy, chunk size (including sizes larger than any stream
-// and the one-record degenerate case), window, multicast strategy and
-// schedule, and must pass full verification against the input.
+// and the one-record degenerate case), window and schedule, and must pass full verification against the input.
 func TestPipelinedMatchesMonolithic(t *testing.T) {
-	strategies := []transport.BcastStrategy{transport.BcastSequential, transport.BcastBinomialTree}
 	for _, c := range []struct {
-		k, rows    int
-		seed       uint64
-		rs         []int
-		chunks     []int
-		windows    []int
-		strategies []transport.BcastStrategy
+		k, rows int
+		seed    uint64
+		rs      []int
+		chunks  []int
+		windows []int
 	}{
-		{4, 3000, 21, []int{1}, []int{1, 64, 500, 100000}, []int{1, 2, 8}, strategies[:1]},
-		{5, 2500, 31, []int{1, 2, 4}, []int{1, 50, 100000}, []int{1, 3}, strategies},
+		{4, 3000, 21, []int{1}, []int{1, 64, 500, 100000}, []int{1, 2, 8}},
+		{5, 2500, 31, []int{1, 2, 4}, []int{1, 50, 100000}, []int{1, 3}},
 	} {
 		in := verify.DescribeGenerated(kv.NewGenerator(c.seed, kv.DistUniform), int64(c.rows))
 		for _, r := range c.rs {
 			ref := runAll(t, Config{K: c.k, R: r, Rows: int64(c.rows), Seed: c.seed})
 			for _, chunkRows := range c.chunks {
 				for _, window := range c.windows {
-					for _, strategy := range c.strategies {
-						for _, parallel := range []bool{false, true} {
-							cfg := Config{K: c.k, R: r, Rows: int64(c.rows), Seed: c.seed,
-								Parallel: parallel, ChunkRows: chunkRows, Window: window}
-							results := run(t, cfg, strategy, nil)
-							for rank := range results {
-								if !results[rank].Output.Equal(ref[rank].Output) {
-									t.Fatalf("K=%d r=%d chunkRows=%d window=%d strategy=%v parallel=%v rank %d: output differs",
-										c.k, r, chunkRows, window, strategy, parallel, rank)
-								}
+					for _, parallel := range []bool{false, true} {
+						cfg := Config{K: c.k, R: r, Rows: int64(c.rows), Seed: c.seed,
+							Parallel: parallel, ChunkRows: chunkRows, Window: window}
+						results := run(t, cfg, nil)
+						for rank := range results {
+							if !results[rank].Output.Equal(ref[rank].Output) {
+								t.Fatalf("K=%d r=%d chunkRows=%d window=%d parallel=%v rank %d: output differs",
+									c.k, r, chunkRows, window, parallel, rank)
 							}
-							if err := verify.SortedOutput(outputs(results), partition.NewUniform(c.k), in); err != nil {
-								t.Fatalf("K=%d r=%d chunkRows=%d window=%d: %v", c.k, r, chunkRows, window, err)
-							}
+						}
+						if err := verify.SortedOutput(outputs(results), partition.NewUniform(c.k), in); err != nil {
+							t.Fatalf("K=%d r=%d chunkRows=%d window=%d: %v", c.k, r, chunkRows, window, err)
 						}
 					}
 				}

@@ -172,7 +172,7 @@ func TestRunDrivesStages(t *testing.T) {
 		hooks := TimelineHooks(tls[r]).Then(Hooks{StageEnd: func(ev StageEvent) {
 			events[r] = append(events[r], ev)
 		}})
-		ep := transport.WithCollectives(mesh.Endpoint(r), transport.BcastSequential)
+		ep := transport.WithCollectives(mesh.Endpoint(r))
 		_, errs[r] = Run(ep, build(r, r == 0), Policies{}, tls[r].Clock(), hooks)
 	}
 	var wg0, wg1 sync.WaitGroup
@@ -241,7 +241,7 @@ func TestRunBarrierSynchronizes(t *testing.T) {
 				return nil
 			}})
 			tl := stats.NewTimeline(stats.NewWallClock())
-			ep := transport.WithCollectives(mesh.Endpoint(r), transport.BcastSequential)
+			ep := transport.WithCollectives(mesh.Endpoint(r))
 			_, errs[r] = Run(ep, g, Policies{}, tl.Clock(), TimelineHooks(tl))
 		}(r)
 	}
@@ -266,7 +266,7 @@ func TestContextDeferLIFO(t *testing.T) {
 		return nil
 	}})
 	tl := stats.NewTimeline(stats.NewWallClock())
-	ep := transport.WithCollectives(mesh.Endpoint(0), transport.BcastSequential)
+	ep := transport.WithCollectives(mesh.Endpoint(0))
 	if _, err := Run(ep, g, Policies{}, tl.Clock(), Hooks{}); err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func TestKillFault(t *testing.T) {
 		defer wg.Done()
 		tl := stats.NewTimeline(stats.NewWallClock())
 		hooks := Hooks{StageEnd: func(ev StageEvent) { events[r] = append(events[r], ev) }}
-		ep := transport.WithCollectives(mesh.Endpoint(r), transport.BcastSequential)
+		ep := transport.WithCollectives(mesh.Endpoint(r))
 		p := Policies{Faults: Faults{{Rank: 1, Stage: stats.StageReduce, Kind: FaultKill}}}
 		_, errs[r] = Run(ep, twoStageGraph(&ran[r], &mu), p, tl.Clock(), hooks)
 	}
@@ -129,7 +129,7 @@ func TestSlowFault(t *testing.T) {
 			reduceElapsed = ev.Elapsed
 		}
 	}}
-	ep := transport.WithCollectives(mesh.Endpoint(0), transport.BcastSequential)
+	ep := transport.WithCollectives(mesh.Endpoint(0))
 	const delay = 30 * time.Millisecond
 	p := Policies{Faults: Faults{{Rank: 0, Stage: stats.StageReduce, Kind: FaultSlow, Factor: 1, Delay: delay}}}
 	if _, err := Run(ep, twoStageGraph(&ran, &mu), p, tl.Clock(), hooks); err != nil {

@@ -80,7 +80,7 @@ func TestSampleSplitters(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			ep := transport.WithCollectives(mesh.Endpoint(r), transport.BcastSequential)
+			ep := transport.WithCollectives(mesh.Endpoint(r))
 			ctx := newContext(ep, Policies{Partitioning: "sample"}, ModeMono)
 			got[r], errs[r] = ctx.SampleSplitters(gatherTag, bcastTag, samples[r])
 			counted[r] = ctx.Counters.SampleBytes
@@ -111,7 +111,7 @@ func TestSampleSplitters(t *testing.T) {
 func TestSampleSplittersCorruptSample(t *testing.T) {
 	mesh := memnet.NewMesh(1)
 	defer mesh.Close()
-	ep := transport.WithCollectives(mesh.Endpoint(0), transport.BcastSequential)
+	ep := transport.WithCollectives(mesh.Endpoint(0))
 	ctx := newContext(ep, Policies{Partitioning: "sample"}, ModeMono)
 	_, err := ctx.SampleSplitters(transport.MakeTag(0x7E, 1, 0xFFFF),
 		transport.MakeTag(0x7E, 2, 0xFFFF), []byte{1, 2, 3})
@@ -123,7 +123,7 @@ func TestSampleSplittersCorruptSample(t *testing.T) {
 func TestContextSorterAndSpillAppend(t *testing.T) {
 	mesh := memnet.NewMesh(1)
 	defer mesh.Close()
-	ep := transport.WithCollectives(mesh.Endpoint(0), transport.BcastSequential)
+	ep := transport.WithCollectives(mesh.Endpoint(0))
 	ctx := newContext(ep, Policies{MemBudget: 1 << 20, SpillDir: t.TempDir()}, ModeSpill)
 	if err := ctx.SpillAppend(kv.MakeRecords(0)); err == nil {
 		t.Fatal("SpillAppend before the sorter exists must error")
@@ -144,7 +144,7 @@ func TestContextSorterAndSpillAppend(t *testing.T) {
 func TestContextScheduleParallel(t *testing.T) {
 	mesh := memnet.NewMesh(1)
 	defer mesh.Close()
-	ep := transport.WithCollectives(mesh.Endpoint(0), transport.BcastSequential)
+	ep := transport.WithCollectives(mesh.Endpoint(0))
 	ctx := newContext(ep, Policies{Parallel: true}, ModeMono)
 	ran := false
 	if err := ctx.Schedule(transport.MakeTag(0x7E, 3, 0xFFFF), func() error { ran = true; return nil }); err != nil {

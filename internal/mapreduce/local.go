@@ -137,7 +137,7 @@ func runAttempt(job Job, opts LocalOptions, consumed map[int]bool) (*Report, []i
 				}
 				conn = netem.Limit(conn, shape)
 			}
-			ep := transport.WithCollectives(conn, job.Strategy)
+			ep := transport.WithCollectives(conn)
 			jr := job
 			jr.Faults = faults
 			res, err := Run(ep, jr, nil)

@@ -127,9 +127,6 @@ type Job struct {
 	// SampleSize is the sampling round's global target sample size under
 	// Partitioning "sample" (0 = partition.DefaultSampleSize).
 	SampleSize int
-	// Strategy selects the application-layer multicast algorithm of the
-	// coded shuffle.
-	Strategy transport.BcastStrategy
 	// Parallel lifts the serial one-sender-at-a-time shuffle schedule.
 	Parallel bool
 	// ChunkRows, when positive, streams the shuffle in ChunkRows-record

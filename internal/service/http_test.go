@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -93,6 +95,18 @@ func TestHTTPErrorMapping(t *testing.T) {
 	_, err := c.Submit(ctx, SubmitRequest{Tenant: "x", Spec: cluster.Spec{Algorithm: "nope", K: 2, Rows: 10}})
 	if err == nil || !strings.Contains(err.Error(), "HTTP 400") {
 		t.Fatalf("bad spec error: %v", err)
+	}
+	// 400, not a silently ignored knob, for a field the spec no longer has:
+	// the multicast has one algorithm, so the old tree selector is unknown.
+	resp, err := c.hc.Post(c.base+"/v1/jobs", "application/json", strings.NewReader(
+		`{"tenant":"x","spec":{"algorithm":"codedterasort","k":4,"r":2,"rows":100,"tree_multicast":true}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "tree_multicast") {
+		t.Fatalf("removed field: HTTP %d %s, want 400 naming tree_multicast", resp.StatusCode, body)
 	}
 	// 429 once the tenant's burst is spent.
 	if _, err := c.Submit(ctx, SubmitRequest{Tenant: "metered", Spec: terasortSpec(500, 1)}); err != nil {

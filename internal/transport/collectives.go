@@ -5,112 +5,99 @@ import (
 	"sort"
 )
 
-// groupIndex returns the position of rank within the ascending-sorted group
-// and the sorted copy, or an error if rank is absent or the group invalid.
+// groupIndex returns the group in ascending rank order and the position
+// of rank in it, or an error if rank is absent or the group invalid. An
+// already ascending group (the engines' groups are) is returned as is, not
+// copied; callers must not modify the result.
 func groupIndex(group []int, rank int) ([]int, int, error) {
 	if len(group) == 0 {
 		return nil, -1, fmt.Errorf("transport: empty group")
 	}
-	sorted := append([]int(nil), group...)
-	sort.Ints(sorted)
+	sorted := group
+	if !sort.IntsAreSorted(group) {
+		sorted = append([]int(nil), group...)
+		sort.Ints(sorted)
+	}
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i] == sorted[i-1] {
 			return nil, -1, fmt.Errorf("transport: duplicate rank %d in group", sorted[i])
 		}
 	}
-	for i, r := range sorted {
-		if r == rank {
-			return sorted, i, nil
-		}
+	i := sort.SearchInts(sorted, rank)
+	if i == len(sorted) || sorted[i] != rank {
+		return nil, -1, fmt.Errorf("transport: rank %d not in group %v", rank, group)
 	}
-	return nil, -1, fmt.Errorf("transport: rank %d not in group %v", rank, group)
+	return sorted, i, nil
 }
 
-// SeqBcast is the serial application-layer multicast of the paper's
-// Fig 9(b): the root sends the payload to every other group member
-// back-to-back in ascending rank order; each member posts one Recv.
-// All group members must call it with identical group/root/tag.
-func SeqBcast(c Conn, group []int, root int, tag Tag, payload []byte) ([]byte, error) {
-	sorted, _, err := groupIndex(group, c.Rank())
+// RelayBcast is the relay multicast (scatter then allgather, the
+// broadcast MPI libraries use for messages that are not tiny). With m the
+// number of receivers and L = len(payload), the root sends slice j,
+// payload[j*L/m : (j+1)*L/m], to the j-th receiver in ascending rank
+// order; every receiver forwards its slice to the other m-1 receivers and
+// joins the m slices in slice order. The root's egress per packet is L —
+// the paper's multicast load — and the group's total wire bytes are m*L,
+// spread over m links instead of queued on the root's.
+//
+// A receiver returns only once it holds every slice: if the root or a
+// relay fails, the other receivers block until the Conn closes. All group
+// members must call it with identical group/root/tag; non-roots pass nil.
+func RelayBcast(c Conn, group []int, root int, tag Tag, payload []byte) ([]byte, error) {
+	members, self, err := groupIndex(group, c.Rank())
 	if err != nil {
 		return nil, err
 	}
-	if _, _, err := groupIndex(group, root); err != nil {
+	_, rootIdx, err := groupIndex(members, root)
+	if err != nil {
 		return nil, err
 	}
-	if c.Rank() == root {
-		for _, m := range sorted {
-			if m == root {
-				continue
-			}
-			if err := c.Send(m, tag, payload); err != nil {
+	// Receiver j is the j-th member other than the root.
+	m := len(members) - 1
+	receiver := func(j int) int {
+		if j >= rootIdx {
+			j++
+		}
+		return members[j]
+	}
+	if self == rootIdx {
+		n := len(payload)
+		for j := 0; j < m; j++ {
+			if err := c.Send(receiver(j), tag, payload[j*n/m:(j+1)*n/m]); err != nil {
 				return nil, err
 			}
 		}
 		return payload, nil
 	}
-	return c.Recv(root, tag)
-}
-
-// TreeBcast relays the payload along a binomial tree rooted at root, the
-// algorithm MPI_Bcast uses for small clusters: in round j, every node that
-// already has the payload forwards it to the node 2^j positions away in
-// root-relative group order. It completes in ceil(log2(n)) rounds.
-// All group members must call it with identical group/root/tag.
-func TreeBcast(c Conn, group []int, root int, tag Tag, payload []byte) ([]byte, error) {
-	sorted, selfIdx, err := groupIndex(group, c.Rank())
-	if err != nil {
-		return nil, err
+	own, err := c.Recv(root, tag)
+	if err != nil || m == 1 {
+		return own, err
 	}
-	_, rootIdx, err := groupIndex(group, root)
-	if err != nil {
-		return nil, err
+	if self > rootIdx {
+		self--
 	}
-	n := len(sorted)
-	// Virtual rank: position relative to the root, so the root is vrank 0.
-	vrank := (selfIdx - rootIdx + n) % n
-	data := payload
-	if vrank != 0 {
-		// Receive from the parent: clear the lowest set bit of vrank.
-		parentV := vrank &^ (vrank & -vrank)
-		parent := sorted[(parentV+rootIdx)%n]
-		data, err = c.Recv(parent, tag)
-		if err != nil {
+	for j := 0; j < m; j++ {
+		if j == self {
+			continue
+		}
+		if err := c.Send(receiver(j), tag, own); err != nil {
 			return nil, err
 		}
 	}
-	// Forward to children: vrank + 2^j for each j above our lowest set bit
-	// (for the root: all powers of two below n), descending so the farthest
-	// subtree starts first — the standard binomial schedule.
-	lowBit := n
-	if vrank != 0 {
-		lowBit = vrank & -vrank
-	}
-	for step := largestPow2Below(n); step >= 1; step >>= 1 {
-		if step >= lowBit {
-			continue
+	// Slice lengths differ from L/m by less than one, so m*(len(own)+1)
+	// bounds L: one allocation holds the joined packet. Receiving in slice
+	// order puts each slice at the current end, and each is dropped once
+	// copied in.
+	joined := make([]byte, 0, m*(len(own)+1))
+	for j := 0; j < m; j++ {
+		slice := own
+		if j != self {
+			if slice, err = c.Recv(receiver(j), tag); err != nil {
+				return nil, err
+			}
 		}
-		childV := vrank + step
-		if childV >= n {
-			continue
-		}
-		child := sorted[(childV+rootIdx)%n]
-		if err := c.Send(child, tag, data); err != nil {
-			return nil, err
-		}
+		joined = append(joined, slice...)
 	}
-	return data, nil
-}
-
-func largestPow2Below(n int) int {
-	p := 1
-	for p*2 < n {
-		p *= 2
-	}
-	if n == 1 {
-		return 0
-	}
-	return p
+	return joined, nil
 }
 
 // CentralBarrier blocks until every node of the Conn has entered the

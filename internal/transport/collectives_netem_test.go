@@ -42,11 +42,11 @@ func runRanks(t *testing.T, k int, timeout time.Duration, fn func(rank int) erro
 	return errs
 }
 
-// faultyBcast runs one Bcast over a K-node mesh where the root's egress
-// fails permanently after `successes` sends, closing the mesh once the
-// root errors (the teardown a failed job performs), and returns the
-// per-rank results.
-func faultyBcast(t *testing.T, strategy transport.BcastStrategy, k, successes int) []error {
+// faultyBcast runs one Bcast rooted at rank 0 over a K-node mesh where
+// rank faulty's egress fails permanently after `successes` sends, closing
+// the mesh once that rank errors (the teardown a failed job performs), and
+// returns the per-rank results.
+func faultyBcast(t *testing.T, k, faulty, successes int) []error {
 	t.Helper()
 	mesh := memnet.NewMesh(k)
 	defer mesh.Close()
@@ -57,17 +57,17 @@ func faultyBcast(t *testing.T, strategy transport.BcastStrategy, k, successes in
 	payload := make([]byte, 1024)
 	return runRanks(t, k, 5*time.Second, func(rank int) error {
 		var conn transport.Conn = mesh.Endpoint(rank)
-		if rank == 0 {
+		if rank == faulty {
 			conn = netem.Fail(conn, successes, errLink)
 		}
-		ep := transport.WithCollectives(conn, strategy)
+		ep := transport.WithCollectives(conn)
 		var p []byte
 		if rank == 0 {
 			p = payload
 		}
 		_, err := ep.Bcast(group, 0, transport.MakeTag(0x60, 0, 0), p)
-		if rank == 0 && err != nil {
-			// The failed root tears the job down; peers waiting on the
+		if rank == faulty && err != nil {
+			// The failed rank tears the job down; peers waiting on the
 			// dead link unblock with ErrClosed instead of hanging.
 			mesh.Close()
 		}
@@ -75,26 +75,26 @@ func faultyBcast(t *testing.T, strategy transport.BcastStrategy, k, successes in
 	})
 }
 
-// TestBcastFaultyRootErrorsCleanly: for every point the root's link can
-// die at, sequential and tree multicast surface the injected error at the
-// root and never strand a receiver.
+// TestBcastFaultyRootErrorsCleanly: for every send the root or a relay
+// makes, a link dying at that send surfaces the injected error at the
+// faulty rank and never strands another member.
 func TestBcastFaultyRootErrorsCleanly(t *testing.T) {
 	const k = 4
-	// The root's own send count is where the link can die: K-1 serial
-	// unicasts sequentially, log2(K) child forwards in the binomial tree.
-	rootSends := map[transport.BcastStrategy]int{
-		transport.BcastSequential:   k - 1,
-		transport.BcastBinomialTree: 2,
-	}
-	for _, strategy := range []transport.BcastStrategy{transport.BcastSequential, transport.BcastBinomialTree} {
-		for successes := 0; successes < rootSends[strategy]; successes++ {
-			errs := faultyBcast(t, strategy, k, successes)
-			if !errors.Is(errs[0], errLink) {
-				t.Fatalf("%v after %d sends: root error = %v, want injected failure", strategy, successes, errs[0])
+	for faulty := 0; faulty < k; faulty++ {
+		// The root scatters K-1 slices; each relay forwards its slice to
+		// the other K-2 receivers.
+		sends := k - 2
+		if faulty == 0 {
+			sends = k - 1
+		}
+		for successes := 0; successes < sends; successes++ {
+			errs := faultyBcast(t, k, faulty, successes)
+			if !errors.Is(errs[faulty], errLink) {
+				t.Fatalf("rank %d failing after %d sends: error = %v, want injected failure", faulty, successes, errs[faulty])
 			}
-			for r := 1; r < k; r++ {
-				if errs[r] != nil && !errors.Is(errs[r], transport.ErrClosed) {
-					t.Fatalf("%v after %d sends: rank %d error = %v, want nil or ErrClosed", strategy, successes, r, errs[r])
+			for r := 0; r < k; r++ {
+				if r != faulty && errs[r] != nil && !errors.Is(errs[r], transport.ErrClosed) {
+					t.Fatalf("rank %d failing after %d sends: rank %d error = %v, want nil or ErrClosed", faulty, successes, r, errs[r])
 				}
 			}
 		}
@@ -121,7 +121,7 @@ func TestBcastShapedLinkDelivers(t *testing.T) {
 			// shaper's queueing, fast enough for a test.
 			conn = netem.Limit(conn, netem.Options{RateMbps: 50, PerMessage: time.Millisecond})
 		}
-		ep := transport.WithCollectives(conn, transport.BcastSequential)
+		ep := transport.WithCollectives(conn)
 		var p []byte
 		if rank == 0 {
 			p = payload
@@ -190,7 +190,7 @@ func TestBarrierFaultyArrivalErrorsCleanly(t *testing.T) {
 		if rank == 3 {
 			conn = netem.Fail(conn, 0, errLink)
 		}
-		ep := transport.WithCollectives(conn, transport.BcastSequential)
+		ep := transport.WithCollectives(conn)
 		err := ep.Barrier(transport.MakeTag(0x63, 0, 0))
 		if rank == 3 && err != nil {
 			mesh.Close()

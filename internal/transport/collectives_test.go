@@ -118,89 +118,43 @@ func runGroup(t *testing.T, mesh *fakeMesh, group []int, fn func(c Conn) error) 
 	}
 }
 
-func TestSeqBcastSendPattern(t *testing.T) {
-	// The root of a sequential bcast sends one copy per receiver, in
-	// ascending rank order, and nobody else sends anything.
-	mesh := newFakeMesh(5)
-	group := []int{0, 2, 4}
+func TestRelayBcastSendPattern(t *testing.T) {
+	// The root scatters one slice per receiver in ascending rank order and
+	// sends nothing else; each receiver then forwards its slice to the
+	// other receivers: m root sends plus m(m-1) relay sends.
+	mesh := newFakeMesh(7)
+	group := []int{6, 0, 4, 2}
+	payload := []byte("abcdefg")
 	runGroup(t, mesh, group, func(c Conn) error {
 		var p []byte
 		if c.Rank() == 2 {
-			p = []byte("x")
+			p = payload
 		}
-		_, err := SeqBcast(c, group, 2, 7, p)
-		return err
-	})
-	want := []string{"2->0", "2->4"}
-	got := mesh.sendLog()
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("send log %v, want %v", got, want)
-	}
-}
-
-func TestTreeBcastSendPattern(t *testing.T) {
-	// Binomial tree over 4 members rooted at the first: root sends 2
-	// copies (to vranks 2 and 1), the vrank-2 node relays once. Total
-	// sends = n-1 = 3 and no node sends more than ceil(log2 n) times.
-	mesh := newFakeMesh(4)
-	group := []int{0, 1, 2, 3}
-	runGroup(t, mesh, group, func(c Conn) error {
-		var p []byte
-		if c.Rank() == 0 {
-			p = []byte("pkt")
+		got, err := RelayBcast(c, group, 2, 7, p)
+		if err == nil && string(got) != string(payload) {
+			err = fmt.Errorf("rank %d got %q", c.Rank(), got)
 		}
-		_, err := TreeBcast(c, group, 0, 9, p)
 		return err
 	})
 	log := mesh.sendLog()
-	if len(log) != 3 {
-		t.Fatalf("tree bcast of 4 should send 3 messages, sent %v", log)
+	if len(log) != 9 {
+		t.Fatalf("relay bcast to 3 receivers sent %d messages, want 9: %v", len(log), log)
 	}
 	perSender := map[string]int{}
+	var rootSends []string
 	for _, s := range log {
-		perSender[s[:1]]++
-	}
-	if perSender["0"] != 2 || perSender["2"] != 1 {
-		t.Fatalf("unexpected tree shape: %v", log)
-	}
-}
-
-func TestTreeBcastAllRootsAllSizes(t *testing.T) {
-	for size := 1; size <= 9; size++ {
-		group := make([]int, size)
-		for i := range group {
-			group[i] = i
+		from := s[:1]
+		perSender[from]++
+		if from == "2" {
+			rootSends = append(rootSends, s)
 		}
-		for root := 0; root < size; root++ {
-			mesh := newFakeMesh(size)
-			payload := []byte{byte(root), byte(size)}
-			var wg sync.WaitGroup
-			errs := make([]error, size)
-			got := make([][]byte, size)
-			for i := 0; i < size; i++ {
-				wg.Add(1)
-				go func(rank int) {
-					defer wg.Done()
-					var p []byte
-					if rank == root {
-						p = payload
-					}
-					got[rank], errs[rank] = TreeBcast(mesh.conn(rank), group, root, 3, p)
-				}(i)
-			}
-			wg.Wait()
-			for rank := 0; rank < size; rank++ {
-				if errs[rank] != nil {
-					t.Fatalf("size=%d root=%d rank=%d: %v", size, root, rank, errs[rank])
-				}
-				if string(got[rank]) != string(payload) {
-					t.Fatalf("size=%d root=%d rank=%d: got %v", size, root, rank, got[rank])
-				}
-			}
-			// Exactly n-1 sends.
-			if n := len(mesh.sendLog()); n != size-1 {
-				t.Fatalf("size=%d root=%d: %d sends", size, root, n)
-			}
+	}
+	if fmt.Sprint(rootSends) != "[2->0 2->4 2->6]" {
+		t.Fatalf("root sends %v, want one slice per receiver in rank order", rootSends)
+	}
+	for _, relay := range []string{"0", "4", "6"} {
+		if perSender[relay] != 2 {
+			t.Fatalf("relay %s sent %d slices, want 2: %v", relay, perSender[relay], log)
 		}
 	}
 }
@@ -256,19 +210,5 @@ func TestGatherAndScatterValidation(t *testing.T) {
 	}
 	if _, err := Scatter(mesh.conn(0), 0, 1, [][]byte{{1}}); err == nil {
 		t.Fatalf("wrong scatter payload count accepted")
-	}
-}
-
-func TestWithCollectivesUnknownStrategy(t *testing.T) {
-	mesh := newFakeMesh(2)
-	ep := WithCollectives(mesh.conn(0), BcastStrategy(99))
-	if _, err := ep.Bcast([]int{0, 1}, 0, 1, []byte("x")); err == nil {
-		t.Fatalf("unknown strategy accepted")
-	}
-	if BcastStrategy(99).String() == "" {
-		t.Fatalf("strategy String empty")
-	}
-	if BcastSequential.String() != "sequential" || BcastBinomialTree.String() != "binomial-tree" {
-		t.Fatalf("strategy names wrong")
 	}
 }

@@ -3,10 +3,11 @@ package transport
 import "sync/atomic"
 
 // Counters is a snapshot of wire-level traffic through a Meter.
-// SentBytes counts payload bytes pushed by this node (a sequential
-// multicast to r receivers counts r payload copies, matching what actually
-// crosses the NIC — the paper's distinction between the communication load,
-// which counts a multicast packet once, and the wire traffic behind
+// SentBytes counts payload bytes pushed by this node, relayed slices
+// included (a relay multicast to r receivers puts r payload copies on the
+// wire in total, spread over r links, matching what actually crosses the
+// NICs — the paper's distinction between the communication load, which
+// counts a multicast packet once, and the wire traffic behind
 // application-layer multicast).
 type Counters struct {
 	SentMsgs  int64

@@ -131,7 +131,10 @@ func TestFaulty(t *testing.T) {
 }
 
 func TestFaultyBcastPropagates(t *testing.T) {
-	// A failing send inside a collective must surface at the caller.
+	// A failing send inside a collective must surface at the caller, and
+	// the multicast is all-or-nothing: the root dies after its first slice,
+	// so no receiver holds every slice and none may complete — both stay
+	// blocked until the teardown closes their endpoints.
 	m := memnet.NewMesh(3)
 	defer m.Close()
 	boom := errors.New("link down")
@@ -139,35 +142,29 @@ func TestFaultyBcastPropagates(t *testing.T) {
 	rootErr := make(chan error, 1)
 	errs := make([]error, 3)
 	go func() {
-		ep := transport.WithCollectives(Fail(m.Endpoint(0), 1, boom), transport.BcastSequential)
+		ep := transport.WithCollectives(Fail(m.Endpoint(0), 1, boom))
 		_, err := ep.Bcast([]int{0, 1, 2}, 0, 1, []byte("pkt"))
 		rootErr <- err
 	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ep := transport.WithCollectives(m.Endpoint(1), transport.BcastSequential)
-		_, errs[1] = ep.Bcast([]int{0, 1, 2}, 0, 1, nil)
-	}()
-	// Rank 2 never gets the packet (root fails after 1 send); unblock it
-	// by closing its endpoint after the root has failed.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ep := transport.WithCollectives(m.Endpoint(2), transport.BcastSequential)
-		_, errs[2] = ep.Bcast([]int{0, 1, 2}, 0, 1, nil)
-	}()
-	// Wait for the root's error, then release rank 2.
+	for _, rank := range []int{1, 2} {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			ep := transport.WithCollectives(m.Endpoint(rank))
+			_, errs[rank] = ep.Bcast([]int{0, 1, 2}, 0, 1, nil)
+		}(rank)
+	}
+	// Wait for the root's error, then tear the receivers down.
 	err0 := <-rootErr
+	m.Endpoint(1).Close()
 	m.Endpoint(2).Close()
 	wg.Wait()
 	if !errors.Is(err0, boom) {
 		t.Fatalf("root error = %v", err0)
 	}
-	if errs[1] != nil {
-		t.Fatalf("rank 1 should have received: %v", errs[1])
-	}
-	if !errors.Is(errs[2], transport.ErrClosed) {
-		t.Fatalf("rank 2 error = %v", errs[2])
+	for _, rank := range []int{1, 2} {
+		if !errors.Is(errs[rank], transport.ErrClosed) {
+			t.Fatalf("rank %d error = %v, want ErrClosed (a partial multicast must not complete)", rank, errs[rank])
+		}
 	}
 }

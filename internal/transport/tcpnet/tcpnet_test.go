@@ -152,35 +152,33 @@ func TestConcurrentAllToAll(t *testing.T) {
 func TestCollectivesOverTCP(t *testing.T) {
 	const k = 5
 	eps := startLocal(t, k)
-	for _, strategy := range []transport.BcastStrategy{transport.BcastSequential, transport.BcastBinomialTree} {
-		var wg sync.WaitGroup
-		group := []int{0, 2, 4}
-		payload := []byte("coded packet")
-		for r := 0; r < k; r++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				ep := transport.WithCollectives(eps[rank], strategy)
-				inGroup := rank == 0 || rank == 2 || rank == 4
-				if !inGroup {
-					return
-				}
-				var p []byte
-				if rank == 2 {
-					p = payload
-				}
-				got, err := ep.Bcast(group, 2, transport.MakeTag(8, uint16(strategy), 0), p)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if !bytes.Equal(got, payload) {
-					t.Errorf("rank %d got %q", rank, got)
-				}
-			}(r)
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	group := []int{0, 2, 4}
+	payload := []byte("coded packet")
+	for r := 0; r < k; r++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			ep := transport.WithCollectives(eps[rank])
+			inGroup := rank == 0 || rank == 2 || rank == 4
+			if !inGroup {
+				return
+			}
+			var p []byte
+			if rank == 2 {
+				p = payload
+			}
+			got, err := ep.Bcast(group, 2, transport.MakeTag(8, 0, 0), p)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !bytes.Equal(got, payload) {
+				t.Errorf("rank %d got %q", rank, got)
+			}
+		}(r)
 	}
+	wg.Wait()
 }
 
 func TestBarrierOverTCP(t *testing.T) {
@@ -191,7 +189,7 @@ func TestBarrierOverTCP(t *testing.T) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			ep := transport.WithCollectives(eps[rank], transport.BcastSequential)
+			ep := transport.WithCollectives(eps[rank])
 			for round := 0; round < 3; round++ {
 				if err := ep.Barrier(transport.MakeTag(9, uint16(round), 0)); err != nil {
 					t.Error(err)
