@@ -7,34 +7,38 @@ import (
 
 // TestEngineMatrix runs a grid of configurations through the in-process
 // engine and asserts that every combination validates and that, for a
-// fixed input, every CodedTeraSort variant (r, schedule) produces the identical per-rank partitions as TeraSort.
+// fixed input, every CodedTeraSort variant (r, schedule) produces the
+// identical per-rank partitions as TeraSort. The skewed input makes the
+// coded packets of one multicast group unequal in length, so the relay
+// slices payloads of many sizes, not one.
 func TestEngineMatrix(t *testing.T) {
 	const k, rows, seed = 5, 2500, 77
-	reference, err := RunLocal(Spec{Algorithm: AlgTeraSort, K: k, Rows: rows, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, r := range []int{1, 2, 3, 4} {
-		for _, parallel := range []bool{false, true} {
-			name := fmt.Sprintf("r=%d/parallel=%v", r, parallel)
-			t.Run(name, func(t *testing.T) {
-				job, err := RunLocal(Spec{
-					Algorithm: AlgCoded, K: k, R: r, Rows: rows, Seed: seed,
-					ParallelShuffle: parallel,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !job.Validated {
-					t.Fatalf("not validated")
-				}
-				for rank := 0; rank < k; rank++ {
-					if job.Workers[rank].OutputChecksum != reference.Workers[rank].OutputChecksum {
-						t.Fatalf("rank %d differs from TeraSort reference", rank)
+	for _, skewed := range []bool{false, true} {
+		reference, err := RunLocal(Spec{Algorithm: AlgTeraSort, K: k, Rows: rows, Seed: seed, Skewed: skewed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []int{1, 2, 3, 4} {
+			for _, parallel := range []bool{false, true} {
+				name := fmt.Sprintf("r=%d/skew=%v/parallel=%v", r, skewed, parallel)
+				t.Run(name, func(t *testing.T) {
+					job, err := RunLocal(Spec{
+						Algorithm: AlgCoded, K: k, R: r, Rows: rows, Seed: seed,
+						Skewed: skewed, ParallelShuffle: parallel,
+					})
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-			})
+					if !job.Validated {
+						t.Fatalf("not validated")
+					}
+					for rank := 0; rank < k; rank++ {
+						if job.Workers[rank].OutputChecksum != reference.Workers[rank].OutputChecksum {
+							t.Fatalf("rank %d differs from TeraSort reference", rank)
+						}
+					}
+				})
+			}
 		}
 	}
 }
@@ -101,8 +105,10 @@ func TestPipelinedEngineMatrix(t *testing.T) {
 
 // TestPipelinedScheduleMatrix covers the riskiest pipelined concurrency:
 // all senders streaming concurrently (ParallelShuffle) with per-chunk
-// relay multicast, against the unchunked reference. This is what puts the concurrent credit-window
-// protocol under the race detector in the standard gate.
+// relay multicast, against the unchunked reference, with credit windows
+// from stop-and-wait (1) to effectively unbounded (16). This is what puts
+// the concurrent credit-window protocol under the race detector in the
+// standard gate.
 func TestPipelinedScheduleMatrix(t *testing.T) {
 	const k, rows, seed = 5, 2000, 83
 	ref, err := RunLocal(Spec{Algorithm: AlgTeraSort, K: k, Rows: rows, Seed: seed})
@@ -111,28 +117,30 @@ func TestPipelinedScheduleMatrix(t *testing.T) {
 	}
 	for _, parallel := range []bool{false, true} {
 		for _, chunkRows := range []int{33, 512} {
-			specs := []Spec{
-				{Algorithm: AlgTeraSort, K: k, Rows: rows, Seed: seed,
-					ParallelShuffle: parallel, ChunkRows: chunkRows, Window: 2},
-				{Algorithm: AlgCoded, K: k, R: 2, Rows: rows, Seed: seed,
-					ParallelShuffle: parallel, ChunkRows: chunkRows, Window: 2},
-			}
-			for _, spec := range specs {
-				t.Run(fmt.Sprintf("%s/parallel=%v/chunk=%d",
-					spec.Algorithm, parallel, chunkRows), func(t *testing.T) {
-					job, err := RunLocal(spec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !job.Validated {
-						t.Fatalf("not validated")
-					}
-					for rank := 0; rank < k; rank++ {
-						if job.Workers[rank].OutputChecksum != ref.Workers[rank].OutputChecksum {
-							t.Fatalf("rank %d differs from unchunked reference", rank)
+			for _, window := range []int{1, 2, 16} {
+				specs := []Spec{
+					{Algorithm: AlgTeraSort, K: k, Rows: rows, Seed: seed,
+						ParallelShuffle: parallel, ChunkRows: chunkRows, Window: window},
+					{Algorithm: AlgCoded, K: k, R: 2, Rows: rows, Seed: seed,
+						ParallelShuffle: parallel, ChunkRows: chunkRows, Window: window},
+				}
+				for _, spec := range specs {
+					t.Run(fmt.Sprintf("%s/parallel=%v/chunk=%d/win=%d",
+						spec.Algorithm, parallel, chunkRows, window), func(t *testing.T) {
+						job, err := RunLocal(spec)
+						if err != nil {
+							t.Fatal(err)
 						}
-					}
-				})
+						if !job.Validated {
+							t.Fatalf("not validated")
+						}
+						for rank := 0; rank < k; rank++ {
+							if job.Workers[rank].OutputChecksum != ref.Workers[rank].OutputChecksum {
+								t.Fatalf("rank %d differs from unchunked reference", rank)
+							}
+						}
+					})
+				}
 			}
 		}
 	}

@@ -5,6 +5,7 @@ package transport_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"codedterasort/internal/transport"
@@ -62,49 +63,51 @@ func bcastAll(conns []transport.Conn, group []int, root int, tag transport.Tag, 
 
 // TestBcastDeliveryAndEgress: group sizes 1–8, every root, payload lengths
 // around the slice boundaries (0, 1, m-1, m, m+1) and one large enough to
-// span many TCP segments.
+// span many TCP segments. Each mesh and group size is its own subtest.
 func TestBcastDeliveryAndEgress(t *testing.T) {
 	for name, conns := range meshes(t) {
 		seq := uint16(0)
 		for size := 1; size <= meshSize; size++ {
-			group := make([]int, size)
-			for i := range group {
-				group[i] = i
-			}
-			m := size - 1
-			for _, n := range []int{0, 1, m - 1, m, m + 1, 32<<10 + 3} {
-				if n < 0 {
-					continue
+			t.Run(fmt.Sprintf("%s/size=%d", name, size), func(t *testing.T) {
+				group := make([]int, size)
+				for i := range group {
+					group[i] = i
 				}
-				payload := make([]byte, n)
-				for i := range payload {
-					payload[i] = byte(i*31 + n)
-				}
-				rootSends := int64(n) // a lone root has no one to send to
-				if m == 0 {
-					rootSends = 0
-				}
-				for _, root := range group {
-					seq++
-					got, sent, errs := bcastAll(conns, group, root, transport.MakeTag(0x70, seq, 0), payload)
-					var total int64
-					for i, rank := range group {
-						if errs[i] != nil {
-							t.Fatalf("%s size=%d root=%d len=%d: rank %d: %v", name, size, root, n, rank, errs[i])
-						}
-						if !bytes.Equal(got[i], payload) {
-							t.Fatalf("%s size=%d root=%d len=%d: rank %d got %d bytes, want the payload", name, size, root, n, rank, len(got[i]))
-						}
-						if rank == root && sent[i] != rootSends {
-							t.Fatalf("%s size=%d root=%d len=%d: root sent %d bytes, want %d", name, size, root, n, sent[i], rootSends)
-						}
-						total += sent[i]
+				m := size - 1
+				for _, n := range []int{0, 1, m - 1, m, m + 1, 32<<10 + 3} {
+					if n < 0 {
+						continue
 					}
-					if total != int64(m*n) {
-						t.Fatalf("%s size=%d root=%d len=%d: group sent %d bytes, want %d", name, size, root, n, total, m*n)
+					payload := make([]byte, n)
+					for i := range payload {
+						payload[i] = byte(i*31 + n)
+					}
+					rootSends := int64(n) // a lone root has no one to send to
+					if m == 0 {
+						rootSends = 0
+					}
+					for _, root := range group {
+						seq++
+						got, sent, errs := bcastAll(conns, group, root, transport.MakeTag(0x70, seq, 0), payload)
+						var total int64
+						for i, rank := range group {
+							if errs[i] != nil {
+								t.Fatalf("root=%d len=%d: rank %d: %v", root, n, rank, errs[i])
+							}
+							if !bytes.Equal(got[i], payload) {
+								t.Fatalf("root=%d len=%d: rank %d got %d bytes, want the payload", root, n, rank, len(got[i]))
+							}
+							if rank == root && sent[i] != rootSends {
+								t.Fatalf("root=%d len=%d: root sent %d bytes, want %d", root, n, sent[i], rootSends)
+							}
+							total += sent[i]
+						}
+						if total != int64(m*n) {
+							t.Fatalf("root=%d len=%d: group sent %d bytes, want %d", root, n, total, m*n)
+						}
 					}
 				}
-			}
+			})
 		}
 	}
 }
